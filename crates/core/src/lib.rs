@@ -12,7 +12,9 @@
 //!   warping with a Sakoe–Chiba band ([`dtw`]),
 //! * the SIMD-friendly, allocation-free kernels behind them ([`kernel`]):
 //!   fused lane-chunked loops plus [`kernel::DtwScratch`] /
-//!   [`kernel::ZnormScratch`] so hot callers never allocate per pair.
+//!   [`kernel::ZnormScratch`] so hot callers never allocate per pair,
+//! * [`par::par_map`], the scoped, order-preserving parallel map every
+//!   fan-out in the workspace runs on ([`par`]).
 //!
 //! The crate is dependency-free so that every other crate in the workspace
 //! can build on it without pulling anything else in.
@@ -22,6 +24,7 @@ pub mod distance;
 pub mod dtw;
 pub mod error;
 pub mod kernel;
+pub mod par;
 pub mod series;
 pub mod stats;
 pub mod transform;

@@ -25,6 +25,7 @@ use kgraph::KGraphConfig;
 use std::sync::Arc;
 use streamfit::{SessionRegistry, StreamStatus};
 use tscore::error::TsError;
+use tscore::par::par_map;
 use tscore::{Dataset, DatasetKind, TimeSeries};
 use tsgraph::layout::LayoutEngine;
 
@@ -60,9 +61,13 @@ fn status_for(e: &TsError) -> u16 {
     }
 }
 
-fn error_response(e: &TsError) -> Response {
-    Response::error(status_for(e), &e.to_string())
+fn error_response(e: TsError) -> Response {
+    Response::error(status_for(&e), &e.to_string())
 }
+
+/// An endpoint's outcome: both arms are complete responses, so request
+/// errors propagate with `?` and [`handle`] sends whichever arm it gets.
+type Handled = Result<Response, Response>;
 
 // ---------------------------------------------------------------------------
 // Per-series cores (shared by single and batch endpoints)
@@ -234,59 +239,66 @@ pub fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &RouteContext<'_
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     ctx.stats
         .bump_route(route_label(req.method.as_str(), &segments));
-    let store = ctx.store;
-    match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["health"]) => health(store),
-        ("GET", ["healthz"]) => healthz(ctx),
-        ("GET", ["metrics"]) => metrics_endpoint(ctx),
-        ("GET", ["models"]) => list_models(store),
-        ("PUT", ["models", name]) => fit_model(req, ctx, name),
-        ("DELETE", ["models", name]) => {
-            if store.remove(name) {
-                // The streaming session buffers node ids of the deleted
-                // graph; drop it with the model, along with its durable
-                // state.
-                ctx.sessions.remove(name);
-                ctx.durability.remove_model(name);
-                Response::json(200, format!("{{\"deleted\":\"{name}\"}}"))
-            } else {
-                Response::error(404, &format!("no model named {name:?}"))
-            }
-        }
-        ("POST", ["models", name, "score"]) => with_model(reader, name, |m| score_endpoint(req, m)),
-        ("POST", ["models", name, "features"]) => {
-            with_model(reader, name, |m| features_endpoint(req, m))
-        }
-        ("POST", ["models", name, "predict"]) => {
-            with_model(reader, name, |m| predict_endpoint(req, m))
-        }
-        ("POST", ["models", name, "batch"]) => with_model(reader, name, |m| batch_endpoint(req, m)),
-        ("POST", ["models", name, "ingest"]) => ingest_endpoint(req, reader, ctx, name),
-        ("GET", ["models", name, "graphoid"]) => {
-            with_model(reader, name, |m| graphoid_endpoint(req, m))
-        }
-        ("GET", ["models", name, "render"]) => {
-            with_model(reader, name, |m| render_endpoint(req, m))
-        }
-        ("GET", ["models", name, "stream-status"]) => stream_status_endpoint(reader, ctx, name),
-        ("GET", ["models", name]) => with_model(reader, name, model_info),
-        ("GET", ["debug", "sleep"]) => debug_sleep(req),
-        (method, _) if !matches!(method, "GET" | "POST" | "PUT" | "DELETE") => {
-            Response::error(405, &format!("method {method} not supported"))
-        }
-        _ => Response::error(404, &format!("no route for {} {}", req.method, req.path)),
+    match dispatch(req, &segments, reader, ctx) {
+        Ok(resp) | Err(resp) => resp,
     }
 }
 
-fn with_model(
+fn dispatch(
+    req: &Request,
+    segments: &[&str],
     reader: &mut StoreReader<'_>,
-    name: &str,
-    f: impl FnOnce(&KGraphModel) -> Response,
-) -> Response {
-    match reader.get(name) {
-        Some(model) => f(&model),
-        None => Response::error(404, &format!("no model named {name:?}")),
+    ctx: &RouteContext<'_>,
+) -> Handled {
+    let store = ctx.store;
+    match (req.method.as_str(), segments) {
+        ("GET", ["health"]) => Ok(health(store)),
+        ("GET", ["healthz"]) => Ok(healthz(ctx)),
+        ("GET", ["metrics"]) => Ok(metrics_endpoint(ctx)),
+        ("GET", ["models"]) => Ok(list_models(store)),
+        ("PUT", ["models", name]) => fit_model(req, ctx, name),
+        ("DELETE", ["models", name]) => {
+            if !store.remove(name) {
+                return Err(no_model(name));
+            }
+            // The streaming session buffers node ids of the deleted graph;
+            // drop it with the model, along with its durable state.
+            ctx.sessions.remove(name);
+            ctx.durability.remove_model(name);
+            Ok(Response::json(200, format!("{{\"deleted\":\"{name}\"}}")))
+        }
+        ("POST", ["models", name, "score"]) => score_endpoint(req, &*model(reader, name)?),
+        ("POST", ["models", name, "features"]) => features_endpoint(req, &*model(reader, name)?),
+        ("POST", ["models", name, "predict"]) => predict_endpoint(req, &*model(reader, name)?),
+        ("POST", ["models", name, "batch"]) => batch_endpoint(req, &*model(reader, name)?),
+        ("POST", ["models", name, "ingest"]) => {
+            ingest_endpoint(req, model(reader, name)?, ctx, name)
+        }
+        ("GET", ["models", name, "graphoid"]) => graphoid_endpoint(req, &*model(reader, name)?),
+        ("GET", ["models", name, "render"]) => render_endpoint(req, &*model(reader, name)?),
+        ("GET", ["models", name, "stream-status"]) => {
+            model(reader, name)?;
+            Ok(stream_status_endpoint(ctx, name))
+        }
+        ("GET", ["models", name]) => Ok(model_info(&*model(reader, name)?)),
+        ("GET", ["debug", "sleep"]) => debug_sleep(req),
+        (method, _) if !matches!(method, "GET" | "POST" | "PUT" | "DELETE") => Err(
+            Response::error(405, &format!("method {method} not supported")),
+        ),
+        _ => Err(Response::error(
+            404,
+            &format!("no route for {} {}", req.method, req.path),
+        )),
     }
+}
+
+fn no_model(name: &str) -> Response {
+    Response::error(404, &format!("no model named {name:?}"))
+}
+
+/// The named model from the worker's registry view, or a 404.
+fn model(reader: &mut StoreReader<'_>, name: &str) -> Result<Arc<KGraphModel>, Response> {
+    reader.get(name).ok_or_else(|| no_model(name))
 }
 
 fn health(store: &ModelStore) -> Response {
@@ -374,36 +386,24 @@ fn model_info(model: &KGraphModel) -> Response {
 /// `PUT /models/{name}` — fit on demand from a posted dataset (CSV rows or
 /// JSON array-of-arrays), `?k=` clusters (default 2), `?seed=`,
 /// `?n_lengths=`.
-fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Response {
+fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Handled {
     let store = ctx.store;
-    let rows = match parse_series_batch(req) {
-        Ok(rows) => rows,
-        Err(resp) => return resp,
-    };
-    let k = match query_usize(req, "k", 2) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let seed = match query_usize(req, "seed", 0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let n_lengths = match query_usize(req, "n_lengths", 3) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+    let rows = parse_series_batch(req)?;
+    let k = query_usize(req, "k", 2)?;
+    let seed = query_usize(req, "seed", 0)?;
+    let n_lengths = query_usize(req, "n_lengths", 3)?;
     if k < 1 || rows.len() < k {
-        return Response::error(
+        return Err(Response::error(
             422,
             &format!("need at least k={k} series, got {}", rows.len()),
-        );
+        ));
     }
     let min_len = rows.iter().map(Vec::len).min().unwrap_or(0);
     if min_len < 8 {
-        return Response::error(
+        return Err(Response::error(
             422,
             &format!("series too short to fit (min length {min_len}, need >= 8)"),
-        );
+        ));
     }
     let series: Vec<TimeSeries> = rows.into_iter().map(TimeSeries::new).collect();
     let dataset = Dataset::new(name, DatasetKind::Other, series);
@@ -421,88 +421,66 @@ fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Response {
     let mut body = String::from("{\"fitted\":");
     write_json_string(&mut body, name);
     body.push_str(&format!(",\"bytes\":{bytes}}}"));
-    Response::json(201, body)
+    Ok(Response::json(201, body))
 }
 
 /// `POST /models/{name}/score?context=` — anomaly scores for one series.
-fn score_endpoint(req: &Request, model: &KGraphModel) -> Response {
-    let values = match parse_series(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let context = match query_usize(req, "context", 5) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    match score_series(model, &values, context) {
-        Ok(scores) if req.wants_csv() => {
-            let mut csv = String::from("score\n");
-            for s in &scores {
-                csv.push_str(&format!("{s}\n"));
-            }
-            Response::csv(200, csv)
+fn score_endpoint(req: &Request, model: &KGraphModel) -> Handled {
+    let values = parse_series(req)?;
+    let context = query_usize(req, "context", 5)?;
+    let scores = score_series(model, &values, context).map_err(error_response)?;
+    if req.wants_csv() {
+        let mut csv = String::from("score\n");
+        for s in &scores {
+            csv.push_str(&format!("{s}\n"));
         }
-        Ok(scores) => Response::json(200, format!("{{\"scores\":{}}}", f64s_to_json(&scores))),
-        Err(e) => error_response(&e),
+        return Ok(Response::csv(200, csv));
     }
+    Ok(Response::json(
+        200,
+        format!("{{\"scores\":{}}}", f64s_to_json(&scores)),
+    ))
 }
 
 /// `POST /models/{name}/features` — crossing-feature vector of one series.
-fn features_endpoint(req: &Request, model: &KGraphModel) -> Response {
-    let values = match parse_series(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    match features_series(model, &values) {
-        Ok(features) if req.wants_csv() => {
-            let mut csv = String::from("feature\n");
-            for f in &features {
-                csv.push_str(&format!("{f}\n"));
-            }
-            Response::csv(200, csv)
+fn features_endpoint(req: &Request, model: &KGraphModel) -> Handled {
+    let values = parse_series(req)?;
+    let features = features_series(model, &values).map_err(error_response)?;
+    if req.wants_csv() {
+        let mut csv = String::from("feature\n");
+        for f in &features {
+            csv.push_str(&format!("{f}\n"));
         }
-        Ok(features) => {
-            Response::json(200, format!("{{\"features\":{}}}", f64s_to_json(&features)))
-        }
-        Err(e) => error_response(&e),
+        return Ok(Response::csv(200, csv));
     }
+    Ok(Response::json(
+        200,
+        format!("{{\"features\":{}}}", f64s_to_json(&features)),
+    ))
 }
 
 /// `POST /models/{name}/predict` — cluster assignment of one series.
-fn predict_endpoint(req: &Request, model: &KGraphModel) -> Response {
-    let values = match parse_series(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    match predict_series(model, &values) {
-        Ok(cluster) => Response::json(200, format!("{{\"cluster\":{cluster}}}")),
-        Err(e) => error_response(&e),
-    }
+fn predict_endpoint(req: &Request, model: &KGraphModel) -> Handled {
+    let values = parse_series(req)?;
+    let cluster = predict_series(model, &values).map_err(error_response)?;
+    Ok(Response::json(200, format!("{{\"cluster\":{cluster}}}")))
 }
 
 /// `POST /models/{name}/batch?op=score|features|predict&context=` — many
-/// series in one request, fanned over a bounded worker pool. Per-row
+/// series in one request, fanned out through `tscore::par::par_map`. Per-row
 /// failures do not fail the batch: each result slot is either the row's
 /// payload or an `{"error": …}` object.
-fn batch_endpoint(req: &Request, model: &KGraphModel) -> Response {
-    let rows = match parse_series_batch(req) {
-        Ok(rows) => rows,
-        Err(resp) => return resp,
-    };
+fn batch_endpoint(req: &Request, model: &KGraphModel) -> Handled {
+    let rows = parse_series_batch(req)?;
     let op = req.query_param("op").unwrap_or("score");
-    let context = match query_usize(req, "context", 5) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+    let context = query_usize(req, "context", 5)?;
     if !matches!(op, "score" | "features" | "predict") {
-        return Response::error(400, &format!("unknown batch op {op:?}"));
+        return Err(Response::error(400, &format!("unknown batch op {op:?}")));
     }
 
-    // Fan rows over a bounded pool: one worker per hardware thread at
-    // most, each writing results into its disjoint slot chunk — the same
-    // discipline as `KGraph::fit` and `feature_rows_for_paths`. Row order
-    // is preserved, so the response is bit-identical to issuing the rows
-    // as individual requests in order.
+    // Rows fan out through `tscore::par::par_map`, which preserves row
+    // order, so the response is bit-identical to issuing the rows as
+    // individual requests in order.
     let run_row = |values: &[f64]| -> Result<String, TsError> {
         match op {
             "score" => score_series(model, values, context)
@@ -512,33 +490,14 @@ fn batch_endpoint(req: &Request, model: &KGraphModel) -> Response {
             _ => predict_series(model, values).map(|c| format!("{{\"cluster\":{c}}}")),
         }
     };
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let workers = hw.min(rows.len());
-    let mut slots: Vec<Option<Result<String, TsError>>> = vec![None; rows.len()];
-    if workers > 1 {
-        let chunk = rows.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            for (slot_chunk, row_chunk) in slots.chunks_mut(chunk).zip(rows.chunks(chunk)) {
-                scope.spawn(move |_| {
-                    for (slot, row) in slot_chunk.iter_mut().zip(row_chunk) {
-                        *slot = Some(run_row(row));
-                    }
-                });
-            }
-        })
-        .expect("batch row job panicked");
-    } else {
-        for (slot, row) in slots.iter_mut().zip(&rows) {
-            *slot = Some(run_row(row));
-        }
-    }
+    let results = par_map(rows.len(), 2, |i| run_row(&rows[i]));
 
     let mut body = String::from("{\"results\":[");
-    for (i, slot) in slots.into_iter().enumerate() {
+    for (i, result) in results.into_iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
-        match slot.expect("every slot filled") {
+        match result {
             Ok(payload) => body.push_str(&payload),
             Err(e) => {
                 body.push_str("{\"error\":");
@@ -548,32 +507,31 @@ fn batch_endpoint(req: &Request, model: &KGraphModel) -> Response {
         }
     }
     body.push_str("]}");
-    Response::json(200, body)
+    Ok(Response::json(200, body))
 }
 
 /// `GET /models/{name}/graphoid?cluster=&kind=gamma|lambda&threshold=` —
 /// the interpretable subgraph of one cluster.
-fn graphoid_endpoint(req: &Request, model: &KGraphModel) -> Response {
-    let cluster = match query_usize(req, "cluster", 0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+fn graphoid_endpoint(req: &Request, model: &KGraphModel) -> Handled {
+    let cluster = query_usize(req, "cluster", 0)?;
     if cluster >= model.k() {
-        return Response::error(
+        return Err(Response::error(
             422,
             &format!("cluster {cluster} out of range 0..{}", model.k()),
-        );
+        ));
     }
-    let threshold = match query_f64(req, "threshold", 0.7) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+    let threshold = query_f64(req, "threshold", 0.7)?;
     let kind = req.query_param("kind").unwrap_or("gamma");
     let stats = model.best_stats();
     let graphoid = match kind {
         "gamma" => gamma_graphoid(&stats, model.best(), cluster, threshold),
         "lambda" => lambda_graphoid(&stats, model.best(), cluster, threshold),
-        other => return Response::error(400, &format!("unknown graphoid kind {other:?}")),
+        other => {
+            return Err(Response::error(
+                400,
+                &format!("unknown graphoid kind {other:?}"),
+            ))
+        }
     };
     let graph = &model.best().graph;
     let mut body = String::from("{");
@@ -603,7 +561,7 @@ fn graphoid_endpoint(req: &Request, model: &KGraphModel) -> Response {
         body.push('}');
     }
     body.push_str("]}");
-    Response::json(200, body)
+    Ok(Response::json(200, body))
 }
 
 /// Hard ceiling on the SVG element count any single render may cost the
@@ -630,27 +588,21 @@ const DEFAULT_RENDER_BUDGET: usize = 20_000;
 ///
 /// The response carries `x-render-elements` with the emitted element
 /// count so smoke tests (and clients) can verify the budget held.
-fn render_endpoint(req: &Request, model: &KGraphModel) -> Response {
+fn render_endpoint(req: &Request, model: &KGraphModel) -> Handled {
     match req.query_param("format").unwrap_or("svg") {
         "svg" => {
             let detail = match req.query_param("detail") {
                 None => DetailLevel::Auto,
-                Some(s) => match DetailLevel::parse(s) {
-                    Some(d) => d,
-                    None => return Response::error(400, &format!("unknown detail level {s:?}")),
-                },
+                Some(s) => DetailLevel::parse(s)
+                    .ok_or_else(|| Response::error(400, &format!("unknown detail level {s:?}")))?,
             };
             let engine = match req.query_param("layout") {
                 None => LayoutEngine::Auto,
-                Some(s) => match LayoutEngine::parse(s) {
-                    Some(e) => e,
-                    None => return Response::error(400, &format!("unknown layout engine {s:?}")),
-                },
+                Some(s) => LayoutEngine::parse(s)
+                    .ok_or_else(|| Response::error(400, &format!("unknown layout engine {s:?}")))?,
             };
-            let budget = match query_usize(req, "budget", DEFAULT_RENDER_BUDGET) {
-                Ok(v) => v.clamp(1, MAX_RENDER_ELEMENTS),
-                Err(resp) => return resp,
-            };
+            let budget =
+                query_usize(req, "budget", DEFAULT_RENDER_BUDGET)?.clamp(1, MAX_RENDER_ELEMENTS);
             // Admission control: an explicit detail level states its cost
             // up front; refuse before spending any layout time on it.
             let g = &model.best().graph;
@@ -665,19 +617,19 @@ fn render_endpoint(req: &Request, model: &KGraphModel) -> Response {
                 DetailLevel::Auto | DetailLevel::Glyph => 0,
             };
             if estimate > MAX_RENDER_ELEMENTS {
-                return Response::error(
+                return Err(Response::error(
                     413,
                     &format!(
                         "detail level would emit ~{estimate} elements (limit {MAX_RENDER_ELEMENTS}); use detail=auto"
                     ),
-                );
+                ));
             }
             let (svg, elements) = GraphFrame::with_auto_thresholds(model).render_graph_with(
                 engine,
                 detail,
                 RenderBudget::capped(budget),
             );
-            Response::svg(svg).with_header("x-render-elements", elements.to_string())
+            Ok(Response::svg(svg).with_header("x-render-elements", elements.to_string()))
         }
         "ascii" => {
             let layer = model.best();
@@ -699,9 +651,12 @@ fn render_endpoint(req: &Request, model: &KGraphModel) -> Response {
                     graphint::ascii::sparkline(pattern)
                 ));
             }
-            Response::text(200, text)
+            Ok(Response::text(200, text))
         }
-        other => Response::error(400, &format!("unknown render format {other:?}")),
+        other => Err(Response::error(
+            400,
+            &format!("unknown render format {other:?}"),
+        )),
     }
 }
 
@@ -754,35 +709,25 @@ fn parse_ingest(req: &Request) -> Result<(Option<usize>, Vec<f64>), Response> {
 /// whatever `Arc` snapshot they hold.
 fn ingest_endpoint(
     req: &Request,
-    reader: &mut StoreReader<'_>,
+    model: Arc<KGraphModel>,
     ctx: &RouteContext<'_>,
     name: &str,
-) -> Response {
-    let model = match reader.get(name) {
-        Some(model) => model,
-        None => return Response::error(404, &format!("no model named {name:?}")),
-    };
-    let (body_index, points) = match parse_ingest(req) {
-        Ok(parsed) => parsed,
-        Err(resp) => return resp,
-    };
+) -> Handled {
+    let (body_index, points) = parse_ingest(req)?;
     let index = match body_index {
         Some(i) => i,
-        None => match query_usize(req, "series", 0) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        },
+        None => query_usize(req, "series", 0)?,
     };
     let session = ctx.sessions.session_for(name, &model);
     let mut guard = session.lock().unwrap_or_else(|e| e.into_inner());
     // Definitely-invalid appends are refused *before* the WAL sees them:
     // a journaled record must be replayable.
     if index > guard.open_series() {
-        return error_response(&TsError::InvalidParameter(format!(
+        return Err(error_response(TsError::InvalidParameter(format!(
             "series index {index} out of range (session has {}; the next new index is {})",
             guard.open_series(),
             guard.open_series()
-        )));
+        ))));
     }
     // Journal first, apply second, both under the session lock — the WAL
     // order is the apply order. A WAL failure refuses the ingest without
@@ -790,46 +735,44 @@ fn ingest_endpoint(
     let wal_seq = match ctx.durability.log_ingest(name, index as u32, &points) {
         IngestLog::Logged { seq } => seq,
         IngestLog::Unavailable { reason } => {
-            return Response::error(503, &format!("ingest journal unavailable: {reason}"))
-                .with_header("retry-after", "1".to_string());
-        }
-        IngestLog::Degraded { reason } => {
-            return Response::error(
-                503,
-                &format!("model {name:?} is degraded read-only: {reason}"),
+            return Err(
+                Response::error(503, &format!("ingest journal unavailable: {reason}"))
+                    .with_header("retry-after", "1".to_string()),
             );
         }
+        IngestLog::Degraded { reason } => {
+            return Err(Response::error(
+                503,
+                &format!("model {name:?} is degraded read-only: {reason}"),
+            ));
+        }
     };
-    match guard.append(index, &points) {
-        Ok(outcome) => {
-            if let Some(next) = &outcome.compacted {
-                // Publish the compacted base: a new snapshot version for
-                // future readers; in-flight readers keep the old Arc.
-                ctx.store.insert(name, Arc::clone(next));
-            }
-            // Snapshot on the refresh cadence (still under the session
-            // lock, so the pair is a consistent point-in-time image).
-            ctx.durability.after_append(name, &guard, outcome.refreshed);
-            Response::json(
-                200,
-                format!(
-                    "{{\"series\":{index},\"appended\":{},\"new_windows\":{},\
-                     \"refreshed\":{},\"compacted\":{}}}",
-                    points.len(),
-                    outcome.new_windows,
-                    outcome.refreshed,
-                    outcome.compacted.is_some()
-                ),
-            )
-        }
-        Err(e) => {
-            // The journal holds a record the session refused: revoke it
-            // (still under the session lock) so replay can never apply
-            // what the live session did not.
-            ctx.durability.revoke_ingest(name, wal_seq);
-            error_response(&e)
-        }
+    let outcome = guard.append(index, &points).map_err(|e| {
+        // The journal holds a record the session refused: revoke it (still
+        // under the session lock) so replay can never apply what the live
+        // session did not.
+        ctx.durability.revoke_ingest(name, wal_seq);
+        error_response(e)
+    })?;
+    if let Some(next) = &outcome.compacted {
+        // Publish the compacted base: a new snapshot version for future
+        // readers; in-flight readers keep the old Arc.
+        ctx.store.insert(name, Arc::clone(next));
     }
+    // Snapshot on the refresh cadence (still under the session lock, so
+    // the pair is a consistent point-in-time image).
+    ctx.durability.after_append(name, &guard, outcome.refreshed);
+    Ok(Response::json(
+        200,
+        format!(
+            "{{\"series\":{index},\"appended\":{},\"new_windows\":{},\
+             \"refreshed\":{},\"compacted\":{}}}",
+            points.len(),
+            outcome.new_windows,
+            outcome.refreshed,
+            outcome.compacted.is_some()
+        ),
+    ))
 }
 
 fn stream_status_json(status: &StreamStatus) -> String {
@@ -870,14 +813,7 @@ fn stream_status_json(status: &StreamStatus) -> String {
 
 /// `GET /models/{name}/stream-status` — the model's streaming-session
 /// summary, or `{"active":false}` when nothing has been ingested yet.
-fn stream_status_endpoint(
-    reader: &mut StoreReader<'_>,
-    ctx: &RouteContext<'_>,
-    name: &str,
-) -> Response {
-    if reader.get(name).is_none() {
-        return Response::error(404, &format!("no model named {name:?}"));
-    }
+fn stream_status_endpoint(ctx: &RouteContext<'_>, name: &str) -> Response {
     match ctx.sessions.get(name) {
         None => Response::json(200, "{\"active\":false,\"series\":[]}".to_string()),
         Some(session) => {
@@ -951,14 +887,10 @@ fn metrics_endpoint(ctx: &RouteContext<'_>) -> Response {
 
 /// `GET /debug/sleep?ms=` — parks the worker briefly; exists so operators
 /// (and the integration tests) can exercise admission control on demand.
-fn debug_sleep(req: &Request) -> Response {
-    let ms = match query_usize(req, "ms", 50) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let ms = (ms as u64).min(MAX_SLEEP_MS);
+fn debug_sleep(req: &Request) -> Handled {
+    let ms = (query_usize(req, "ms", 50)? as u64).min(MAX_SLEEP_MS);
     std::thread::sleep(std::time::Duration::from_millis(ms));
-    Response::json(200, format!("{{\"slept_ms\":{ms}}}"))
+    Ok(Response::json(200, format!("{{\"slept_ms\":{ms}}}")))
 }
 
 #[cfg(test)]

@@ -30,13 +30,18 @@ use tscore::{Dataset, DatasetKind, TimeSeries};
 // Harness
 // ---------------------------------------------------------------------------
 
-/// A scratch directory removed on drop.
+/// A scratch directory removed on drop. The name carries a process-wide
+/// counter, so tests running in parallel with the same tag never share it.
 struct TempDir(PathBuf);
 
 impl TempDir {
     fn new(tag: &str) -> TempDir {
-        let path =
-            std::env::temp_dir().join(format!("graphserve-faults-{}-{tag}", std::process::id()));
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "graphserve-faults-{}-{n}-{tag}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir_all(&path).expect("create temp dir");
         TempDir(path)

@@ -24,8 +24,8 @@
 //!    exclusivity then yield the λ-graphoids and γ-graphoids that the
 //!    Graphint Graph frame visualises.
 //!
-//! The per-length jobs of stage 1–2 run on a bounded worker pool (scoped
-//! threads over disjoint output slots, at most one worker per hardware
+//! The per-length jobs of stage 1–2 run through [`tscore::par::par_map`]
+//! (scoped threads over contiguous chunks, at most one worker per hardware
 //! thread), mirroring the "Job 0 … Job M" boxes of Figure 1. Every graph
 //! `G_ℓ` is stored CSR ([`tsgraph::CsrGraph`]) and built by emitting
 //! transition triples into a [`tsgraph::GraphBuilder`]; all downstream

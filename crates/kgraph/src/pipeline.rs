@@ -9,6 +9,7 @@ use crate::graphoid::{gamma_graphoid, lambda_graphoid, ClusterStats, Graphoid};
 use crate::interpret::{score_lengths, LengthScore};
 use crate::nodes::radial_scan;
 use linalg::matrix::Matrix;
+use tscore::par::par_map;
 use tscore::Dataset;
 
 /// The k-Graph estimator. Construct with a [`KGraphConfig`], call
@@ -65,38 +66,14 @@ impl KGraph {
             dataset.min_len()
         );
 
-        // Stages 1–2, one job per length (Figure 1's Job 0 … Job M),
-        // executed by a bounded worker pool: the lengths and their output
-        // slots are chunked, each worker owns one disjoint slot chunk and
-        // writes results lock-free through its exclusive borrow. Short
+        // Stages 1–2, one job per length (Figure 1's Job 0 … Job M), fanned
+        // out by `tscore::par::par_map` in contiguous length chunks. Short
         // lengths are the cheap ones and lengths ascend, so interleaving
         // is unnecessary — chunks cost within ~2x of each other.
-        let mut layers: Vec<GraphLayer> = if cfg.parallel && lengths.len() > 1 {
-            let workers = std::thread::available_parallelism()
-                .map_or(1, |p| p.get())
-                .min(lengths.len());
-            let chunk = lengths.len().div_ceil(workers);
-            let mut slots: Vec<Option<GraphLayer>> = (0..lengths.len()).map(|_| None).collect();
-            crossbeam::thread::scope(|scope| {
-                for (slot_chunk, len_chunk) in slots.chunks_mut(chunk).zip(lengths.chunks(chunk)) {
-                    scope.spawn(move |_| {
-                        for (slot, &length) in slot_chunk.iter_mut().zip(len_chunk) {
-                            *slot = Some(fit_layer(dataset, cfg, length));
-                        }
-                    });
-                }
-            })
-            .expect("layer job panicked");
-            slots
-                .into_iter()
-                .map(|s| s.expect("every slot filled"))
-                .collect()
-        } else {
-            lengths
-                .iter()
-                .map(|&length| fit_layer(dataset, cfg, length))
-                .collect()
-        };
+        let min_parallel = if cfg.parallel { 2 } else { usize::MAX };
+        let mut layers: Vec<GraphLayer> = par_map(lengths.len(), min_parallel, |i| {
+            fit_layer(dataset, cfg, lengths[i])
+        });
 
         // Stage 3: consensus across the per-length partitions.
         let partitions: Vec<Vec<usize>> = layers.iter().map(|l| l.labels.clone()).collect();

@@ -202,14 +202,6 @@ fn attract_and_apply(
     }
 }
 
-/// Fruchterman–Reingold force-directed layout (exact O(n²) reference).
-///
-/// Alias for [`reference::force_directed`], kept under the historical name
-/// for existing callers.
-pub fn force_directed<N, E>(g: &CsrGraph<N, E>, opts: ForceOptions) -> Layout {
-    reference::force_directed(g, opts)
-}
-
 /// Barnes–Hut force-directed layout: the Fruchterman–Reingold force model
 /// with quadtree-aggregated repulsion, O(iterations · n log n).
 ///
@@ -376,10 +368,10 @@ mod tests {
     #[test]
     fn force_layout_deterministic_given_seed() {
         let g = path_graph(10);
-        let a = force_directed(&g, ForceOptions::default());
-        let b = force_directed(&g, ForceOptions::default());
+        let a = reference::force_directed(&g, ForceOptions::default());
+        let b = reference::force_directed(&g, ForceOptions::default());
         assert_eq!(a, b);
-        let c = force_directed(
+        let c = reference::force_directed(
             &g,
             ForceOptions {
                 seed: 7,
@@ -392,7 +384,7 @@ mod tests {
     #[test]
     fn force_layout_separates_nodes() {
         let g = path_graph(8);
-        let pos = force_directed(&g, ForceOptions::default());
+        let pos = reference::force_directed(&g, ForceOptions::default());
         for i in 0..pos.len() {
             for j in (i + 1)..pos.len() {
                 let d = ((pos[i].0 - pos[j].0).powi(2) + (pos[i].1 - pos[j].1).powi(2)).sqrt();
@@ -406,7 +398,7 @@ mod tests {
         // A path 0-1-2-...-9: endpoints should end up farther apart than
         // adjacent pairs on average.
         let g = path_graph(10);
-        let pos = force_directed(
+        let pos = reference::force_directed(
             &g,
             ForceOptions {
                 iterations: 400,
@@ -502,13 +494,13 @@ mod tests {
     #[test]
     fn degenerate_graphs() {
         let empty: CsrGraph<(), ()> = CsrGraph::vertices_only(Vec::new());
-        assert!(force_directed(&empty, ForceOptions::default()).is_empty());
+        assert!(reference::force_directed(&empty, ForceOptions::default()).is_empty());
         assert!(barnes_hut(&empty, BarnesHutOptions::default()).is_empty());
         assert!(circular(&empty, 1.0).is_empty());
 
         let single: CsrGraph<(), ()> = CsrGraph::vertices_only(vec![()]);
         assert_eq!(
-            force_directed(&single, ForceOptions::default()),
+            reference::force_directed(&single, ForceOptions::default()),
             vec![(0.0, 0.0)]
         );
         assert_eq!(
@@ -523,7 +515,7 @@ mod tests {
         b.add_edge(NodeId(0), NodeId(0), ());
         b.add_edge(NodeId(0), NodeId(1), ());
         let g = b.build(vec![(); 2], |_, _| {});
-        let pos = force_directed(&g, ForceOptions::default());
+        let pos = reference::force_directed(&g, ForceOptions::default());
         assert!(pos.iter().all(|p| p.0.is_finite() && p.1.is_finite()));
         let pos = barnes_hut(&g, BarnesHutOptions::default());
         assert!(pos.iter().all(|p| p.0.is_finite() && p.1.is_finite()));
