@@ -1,6 +1,6 @@
 //! Crash-safe durability for served models: per-model WALs, atomic
 //! snapshots, degraded-mode bookkeeping and the counters `/metrics` and
-//! `/healthz` expose.
+//! `/health` expose.
 //!
 //! ## On-disk layout
 //!
@@ -50,7 +50,7 @@ use kgraph::serial;
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use streamfit::{StreamConfig, StreamSession};
@@ -166,7 +166,6 @@ pub struct Durability {
     fs: Arc<dyn Fs>,
     cfg: DurabilityConfig,
     counters: Arc<DurabilityCounters>,
-    recovering: AtomicBool,
     /// Name → per-model slot. The registry lock covers only the lookup;
     /// every I/O runs under the slot's own lock.
     models: Mutex<HashMap<String, Arc<Mutex<ModelDur>>>>,
@@ -198,7 +197,6 @@ impl Durability {
             fs,
             cfg,
             counters: Arc::new(DurabilityCounters::default()),
-            recovering: AtomicBool::new(false),
             models: Mutex::new(HashMap::new()),
         }
     }
@@ -211,7 +209,6 @@ impl Durability {
             fs: Arc::new(StdFs),
             cfg: DurabilityConfig::default(),
             counters: Arc::new(DurabilityCounters::default()),
-            recovering: AtomicBool::new(false),
             models: Mutex::new(HashMap::new()),
         }
     }
@@ -234,16 +231,6 @@ impl Durability {
     /// The filesystem seam (recovery shares it).
     pub(crate) fn fs(&self) -> &Arc<dyn Fs> {
         &self.fs
-    }
-
-    /// Flags the startup-recovery phase for `/healthz`.
-    pub fn set_recovering(&self, on: bool) {
-        self.recovering.store(on, Ordering::Release);
-    }
-
-    /// Whether startup recovery is still running.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering.load(Ordering::Acquire)
     }
 
     /// The slot for `name`, created empty if absent. Holds the registry

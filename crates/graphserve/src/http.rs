@@ -45,7 +45,7 @@ impl std::fmt::Display for HttpError {
 pub struct Request {
     /// Upper-cased method (`GET`, `POST`, …).
     pub method: String,
-    /// Decoded path without the query string (e.g. `/models/cbf/score`).
+    /// Raw path without the query string (e.g. `/models/cbf/score`).
     pub path: String,
     /// Query parameters in order of appearance.
     pub query: Vec<(String, String)>,

@@ -18,7 +18,7 @@
 //!    WAL demonstrably starts *after* the newest readable snapshot, or is
 //!    not a WAL at all) or the heal cannot be made durable: the last-good
 //!    snapshot is served read-only and the condition is surfaced through
-//!    `/healthz`, `/metrics` and the log.
+//!    `/health`, `/metrics` and the log.
 //!
 //! Models present in the store (e.g. loaded from `--models`) but absent
 //! from the state directory are *adopted*: an initial snapshot and empty
@@ -64,19 +64,16 @@ pub fn recover(
         return report;
     }
     let started = std::time::Instant::now();
-    durability.set_recovering(true);
     let fs = Arc::clone(durability.fs());
     let root = durability.config().state_dir.clone();
     if let Err(e) = fs.create_dir_all(&root) {
         eprintln!("[recovery] cannot create state dir {}: {e}", root.display());
-        durability.set_recovering(false);
         return report;
     }
     let dirs = match fs.read_dir(&root) {
         Ok(dirs) => dirs,
         Err(e) => {
             eprintln!("[recovery] cannot list state dir {}: {e}", root.display());
-            durability.set_recovering(false);
             return report;
         }
     };
@@ -114,7 +111,6 @@ pub fn recover(
     counters
         .models_recovered
         .store(report.recovered.len() as u64, Ordering::Relaxed);
-    durability.set_recovering(false);
     if !report.recovered.is_empty() || !report.degraded.is_empty() || !report.failed.is_empty() {
         eprintln!(
             "[recovery] {} recovered, {} adopted, {} degraded, {} failed, {} records replayed \

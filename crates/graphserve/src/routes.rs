@@ -10,7 +10,7 @@
 //! (short series, bad parameters) are 4xx, model-side degeneracy is 5xx,
 //! unparseable bodies are 400.
 
-use crate::durability::{Durability, IngestLog};
+use crate::durability::{durable_name, Durability, IngestLog};
 use crate::http::{Request, Response};
 use crate::json::{f64s_to_json, write_json_string, Json};
 use crate::server::ServerStats;
@@ -135,6 +135,7 @@ fn parse_series(req: &Request) -> Result<Vec<f64>, Response> {
     if values.is_empty() {
         return Err(Response::error(400, "empty series"));
     }
+    all_finite(&values)?;
     Ok(values)
 }
 
@@ -163,6 +164,7 @@ fn parse_series_batch(req: &Request) -> Result<Vec<Vec<f64>>, Response> {
     if rows.is_empty() {
         return Err(Response::error(400, "empty batch"));
     }
+    rows.iter().try_for_each(|row| all_finite(row))?;
     if rows.len() > MAX_BATCH_ROWS {
         return Err(Response::error(
             413,
@@ -173,6 +175,19 @@ fn parse_series_batch(req: &Request) -> Result<Vec<Vec<f64>>, Response> {
         ));
     }
     Ok(rows)
+}
+
+/// Refuses non-finite values (JSON `1e400`, CSV `NaN` or `inf`): they parse
+/// as numbers, but no model can embed them, and an ingest must reject them
+/// before the WAL journals the record.
+fn all_finite(values: &[f64]) -> Result<(), Response> {
+    match values.iter().position(|v| !v.is_finite()) {
+        None => Ok(()),
+        Some(i) => Err(Response::error(
+            422,
+            &format!("non-finite value {} at index {i}", values[i]),
+        )),
+    }
 }
 
 fn parse_csv_row(line: &str) -> Result<Vec<f64>, String> {
@@ -208,87 +223,134 @@ fn query_f64(req: &Request, name: &str, default: f64) -> Result<f64, Response> {
 // Routing
 // ---------------------------------------------------------------------------
 
-/// The metrics label of one parsed request; must return a member of
-/// [`crate::server::ROUTE_LABELS`].
-fn route_label(method: &str, segments: &[&str]) -> &'static str {
-    match (method, segments) {
-        ("GET", ["health"]) => "health",
-        ("GET", ["healthz"]) => "healthz",
-        ("GET", ["metrics"]) => "metrics",
-        ("GET", ["models"]) => "models",
-        ("PUT", ["models", _]) => "fit",
-        ("DELETE", ["models", _]) => "delete",
-        ("POST", ["models", _, "score"]) => "score",
-        ("POST", ["models", _, "features"]) => "features",
-        ("POST", ["models", _, "predict"]) => "predict",
-        ("POST", ["models", _, "batch"]) => "batch",
-        ("POST", ["models", _, "ingest"]) => "ingest",
-        ("GET", ["models", _, "graphoid"]) => "graphoid",
-        ("GET", ["models", _, "render"]) => "render",
-        ("GET", ["models", _, "stream-status"]) => "stream_status",
-        ("GET", ["models", _]) => "model_info",
-        ("GET", ["debug", "sleep"]) => "debug_sleep",
-        _ => "other",
+/// Every route the server answers. [`Route::parse`] maps requests onto
+/// variants, [`dispatch`] maps variants onto handlers, and the
+/// discriminant indexes the per-route counters in [`ServerStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    Health,
+    Models,
+    ModelInfo,
+    Fit,
+    Delete,
+    Score,
+    Features,
+    Predict,
+    Batch,
+    Graphoid,
+    Render,
+    Ingest,
+    StreamStatus,
+    Metrics,
+    DebugSleep,
+    /// Anything else: 404, or 405 for an unsupported method. Must stay
+    /// last, so that it sizes [`Route::ALL`].
+    Other,
+}
+
+impl Route {
+    /// Every route with its `/metrics` label, in discriminant order (checked
+    /// at compile time below), which is also the `/metrics` order.
+    pub(crate) const ALL: [(Route, &'static str); Route::Other as usize + 1] = [
+        (Route::Health, "health"),
+        (Route::Models, "models"),
+        (Route::ModelInfo, "model_info"),
+        (Route::Fit, "fit"),
+        (Route::Delete, "delete"),
+        (Route::Score, "score"),
+        (Route::Features, "features"),
+        (Route::Predict, "predict"),
+        (Route::Batch, "batch"),
+        (Route::Graphoid, "graphoid"),
+        (Route::Render, "render"),
+        (Route::Ingest, "ingest"),
+        (Route::StreamStatus, "stream_status"),
+        (Route::Metrics, "metrics"),
+        (Route::DebugSleep, "debug_sleep"),
+        (Route::Other, "other"),
+    ];
+
+    /// Classifies a request by method and path segments. The second value
+    /// is the model name of a `/models/{name}…` route, empty otherwise.
+    fn parse<'a>(method: &str, segments: &[&'a str]) -> (Route, &'a str) {
+        match (method, segments) {
+            ("GET", ["health"]) => (Route::Health, ""),
+            ("GET", ["metrics"]) => (Route::Metrics, ""),
+            ("GET", ["models"]) => (Route::Models, ""),
+            ("GET", ["debug", "sleep"]) => (Route::DebugSleep, ""),
+            ("GET", ["models", name]) => (Route::ModelInfo, name),
+            ("PUT", ["models", name]) => (Route::Fit, name),
+            ("DELETE", ["models", name]) => (Route::Delete, name),
+            ("POST", ["models", name, "score"]) => (Route::Score, name),
+            ("POST", ["models", name, "features"]) => (Route::Features, name),
+            ("POST", ["models", name, "predict"]) => (Route::Predict, name),
+            ("POST", ["models", name, "batch"]) => (Route::Batch, name),
+            ("POST", ["models", name, "ingest"]) => (Route::Ingest, name),
+            ("GET", ["models", name, "graphoid"]) => (Route::Graphoid, name),
+            ("GET", ["models", name, "render"]) => (Route::Render, name),
+            ("GET", ["models", name, "stream-status"]) => (Route::StreamStatus, name),
+            _ => (Route::Other, ""),
+        }
     }
 }
+
+// Each variant has exactly one `ALL` entry, at its discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < Route::ALL.len() {
+        assert!(Route::ALL[i].0 as usize == i, "Route::ALL out of order");
+        i += 1;
+    }
+};
 
 /// Dispatches one parsed request. `reader` is the calling worker's cached
 /// registry view; `ctx` carries the store (admin routes), the streaming
 /// sessions (ingest routes) and the shared counters (metrics).
 pub fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &RouteContext<'_>) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    ctx.stats
-        .bump_route(route_label(req.method.as_str(), &segments));
-    match dispatch(req, &segments, reader, ctx) {
+    let (route, name) = Route::parse(req.method.as_str(), &segments);
+    ctx.stats.bump_route(route);
+    match dispatch(route, name, req, reader, ctx) {
         Ok(resp) | Err(resp) => resp,
     }
 }
 
 fn dispatch(
+    route: Route,
+    name: &str,
     req: &Request,
-    segments: &[&str],
     reader: &mut StoreReader<'_>,
     ctx: &RouteContext<'_>,
 ) -> Handled {
-    let store = ctx.store;
-    match (req.method.as_str(), segments) {
-        ("GET", ["health"]) => Ok(health(store)),
-        ("GET", ["healthz"]) => Ok(healthz(ctx)),
-        ("GET", ["metrics"]) => Ok(metrics_endpoint(ctx)),
-        ("GET", ["models"]) => Ok(list_models(store)),
-        ("PUT", ["models", name]) => fit_model(req, ctx, name),
-        ("DELETE", ["models", name]) => {
-            if !store.remove(name) {
-                return Err(no_model(name));
-            }
-            // The streaming session buffers node ids of the deleted graph;
-            // drop it with the model, along with its durable state.
-            ctx.sessions.remove(name);
-            ctx.durability.remove_model(name);
-            Ok(Response::json(200, format!("{{\"deleted\":\"{name}\"}}")))
-        }
-        ("POST", ["models", name, "score"]) => score_endpoint(req, &*model(reader, name)?),
-        ("POST", ["models", name, "features"]) => features_endpoint(req, &*model(reader, name)?),
-        ("POST", ["models", name, "predict"]) => predict_endpoint(req, &*model(reader, name)?),
-        ("POST", ["models", name, "batch"]) => batch_endpoint(req, &*model(reader, name)?),
-        ("POST", ["models", name, "ingest"]) => {
-            ingest_endpoint(req, model(reader, name)?, ctx, name)
-        }
-        ("GET", ["models", name, "graphoid"]) => graphoid_endpoint(req, &*model(reader, name)?),
-        ("GET", ["models", name, "render"]) => render_endpoint(req, &*model(reader, name)?),
-        ("GET", ["models", name, "stream-status"]) => {
+    match route {
+        Route::Health => Ok(health(ctx)),
+        Route::Metrics => Ok(metrics_endpoint(ctx)),
+        Route::Models => Ok(list_models(ctx.store)),
+        Route::ModelInfo => Ok(model_info(&*model(reader, name)?)),
+        Route::Fit => fit_model(req, ctx, name),
+        Route::Delete => delete_model(ctx, name),
+        Route::Score => score_endpoint(req, &*model(reader, name)?),
+        Route::Features => features_endpoint(req, &*model(reader, name)?),
+        Route::Predict => predict_endpoint(req, &*model(reader, name)?),
+        Route::Batch => batch_endpoint(req, &*model(reader, name)?),
+        Route::Ingest => ingest_endpoint(req, model(reader, name)?, ctx, name),
+        Route::Graphoid => graphoid_endpoint(req, &*model(reader, name)?),
+        Route::Render => render_endpoint(req, &*model(reader, name)?),
+        Route::StreamStatus => {
             model(reader, name)?;
             Ok(stream_status_endpoint(ctx, name))
         }
-        ("GET", ["models", name]) => Ok(model_info(&*model(reader, name)?)),
-        ("GET", ["debug", "sleep"]) => debug_sleep(req),
-        (method, _) if !matches!(method, "GET" | "POST" | "PUT" | "DELETE") => Err(
-            Response::error(405, &format!("method {method} not supported")),
-        ),
-        _ => Err(Response::error(
-            404,
-            &format!("no route for {} {}", req.method, req.path),
-        )),
+        Route::DebugSleep => debug_sleep(req),
+        Route::Other => match req.method.as_str() {
+            "GET" | "POST" | "PUT" | "DELETE" => Err(Response::error(
+                404,
+                &format!("no route for {} {}", req.method, req.path),
+            )),
+            method => Err(Response::error(
+                405,
+                &format!("method {method} not supported"),
+            )),
+        },
     }
 }
 
@@ -301,33 +363,21 @@ fn model(reader: &mut StoreReader<'_>, name: &str) -> Result<Arc<KGraphModel>, R
     reader.get(name).ok_or_else(|| no_model(name))
 }
 
-fn health(store: &ModelStore) -> Response {
-    Response::json(
-        200,
-        format!(
-            "{{\"status\":\"ok\",\"models\":{},\"bytes\":{}}}",
-            store.len(),
-            store.total_bytes()
-        ),
-    )
-}
-
-/// `GET /healthz` — readiness + recovery state. `"recovering"` (503) while
-/// startup recovery runs, `"degraded"` (200 — reads still serve) when any
-/// model is read-only, `"ok"` otherwise.
-fn healthz(ctx: &RouteContext<'_>) -> Response {
+/// `GET /health` — liveness, registry size and durability state:
+/// `"degraded"` when any model is read-only, `"ok"` otherwise. Both are
+/// 200, because reads still serve.
+fn health(ctx: &RouteContext<'_>) -> Response {
     let degraded = ctx.durability.degraded_models();
-    let (status, code) = if ctx.durability.is_recovering() {
-        ("recovering", 503)
-    } else if !degraded.is_empty() {
-        ("degraded", 200)
+    let status = if degraded.is_empty() {
+        "ok"
     } else {
-        ("ok", 200)
+        "degraded"
     };
     let mut body = format!(
-        "{{\"status\":\"{status}\",\"durability\":{},\"models\":{},\"degraded\":[",
+        "{{\"status\":\"{status}\",\"durability\":{},\"models\":{},\"bytes\":{},\"degraded\":[",
         ctx.durability.enabled(),
-        ctx.store.len()
+        ctx.store.len(),
+        ctx.store.total_bytes()
     );
     for (i, (name, reason)) in degraded.iter().enumerate() {
         if i > 0 {
@@ -340,7 +390,7 @@ fn healthz(ctx: &RouteContext<'_>) -> Response {
         body.push('}');
     }
     body.push_str("]}");
-    Response::json(code, body)
+    Response::json(200, body)
 }
 
 fn list_models(store: &ModelStore) -> Response {
@@ -385,9 +435,15 @@ fn model_info(model: &KGraphModel) -> Response {
 
 /// `PUT /models/{name}` — fit on demand from a posted dataset (CSV rows or
 /// JSON array-of-arrays), `?k=` clusters (default 2), `?seed=`,
-/// `?n_lengths=`.
+/// `?n_lengths=`. The name must be one the durability layer can persist.
 fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Handled {
     let store = ctx.store;
+    if !durable_name(name) {
+        return Err(Response::error(
+            422,
+            &format!("model name {name:?} must be 1-128 ASCII letters, digits, '-', '_' or '.'"),
+        ));
+    }
     let rows = parse_series_batch(req)?;
     let k = query_usize(req, "k", 2)?;
     let seed = query_usize(req, "seed", 0)?;
@@ -422,6 +478,22 @@ fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Handled {
     write_json_string(&mut body, name);
     body.push_str(&format!(",\"bytes\":{bytes}}}"));
     Ok(Response::json(201, body))
+}
+
+/// `DELETE /models/{name}` — evicts the model with its streaming session
+/// and durable state.
+fn delete_model(ctx: &RouteContext<'_>, name: &str) -> Handled {
+    if !ctx.store.remove(name) {
+        return Err(no_model(name));
+    }
+    // The streaming session buffers node ids of the deleted graph; drop it
+    // with the model, along with its durable state.
+    ctx.sessions.remove(name);
+    ctx.durability.remove_model(name);
+    let mut body = String::from("{\"deleted\":");
+    write_json_string(&mut body, name);
+    body.push('}');
+    Ok(Response::json(200, body))
 }
 
 /// `POST /models/{name}/score?context=` — anomaly scores for one series.
@@ -697,6 +769,7 @@ fn parse_ingest(req: &Request) -> Result<(Option<usize>, Vec<f64>), Response> {
     if points.is_empty() {
         return Err(Response::error(400, "empty points"));
     }
+    all_finite(&points)?;
     Ok((index, points))
 }
 
@@ -826,44 +899,24 @@ fn stream_status_endpoint(ctx: &RouteContext<'_>, name: &str) -> Response {
 /// `GET /metrics` — plain-text counters: admission-control totals, queue
 /// depth high-water, per-route request counts, store and session gauges.
 fn metrics_endpoint(ctx: &RouteContext<'_>) -> Response {
-    use std::sync::atomic::Ordering;
-    let stats = ctx.stats;
+    use std::sync::atomic::Ordering::Relaxed;
+    let (stats, d) = (ctx.stats, ctx.durability.counters());
     let mut out = String::new();
-    out.push_str(&format!(
-        "graphserve_requests_admitted_total {}\n",
-        stats.admitted.load(Ordering::Relaxed)
-    ));
-    out.push_str(&format!(
-        "graphserve_requests_shed_total {}\n",
-        stats.shed.load(Ordering::Relaxed)
-    ));
-    out.push_str(&format!(
-        "graphserve_responses_served_total {}\n",
-        stats.served.load(Ordering::Relaxed)
-    ));
-    out.push_str(&format!(
-        "graphserve_queue_depth_high_water {}\n",
-        stats.queue_high_water.load(Ordering::Relaxed)
-    ));
+    let mut line = |name: &str, value: u64| out.push_str(&format!("graphserve_{name} {value}\n"));
+    line("requests_admitted_total", stats.admitted.load(Relaxed));
+    line("requests_shed_total", stats.shed.load(Relaxed));
+    line("responses_served_total", stats.served.load(Relaxed));
+    line(
+        "queue_depth_high_water",
+        stats.queue_high_water.load(Relaxed),
+    );
     for (label, count) in stats.route_counts() {
-        out.push_str(&format!(
-            "graphserve_route_requests_total{{route=\"{label}\"}} {count}\n"
-        ));
+        line(&format!("route_requests_total{{route=\"{label}\"}}"), count);
     }
-    out.push_str(&format!("graphserve_models {}\n", ctx.store.len()));
-    out.push_str(&format!(
-        "graphserve_model_bytes {}\n",
-        ctx.store.total_bytes()
-    ));
-    out.push_str(&format!(
-        "graphserve_stream_sessions {}\n",
-        ctx.sessions.len()
-    ));
-    out.push_str(&format!(
-        "graphserve_durability_enabled {}\n",
-        u8::from(ctx.durability.enabled())
-    ));
-    let d = ctx.durability.counters();
+    line("models", ctx.store.len() as u64);
+    line("model_bytes", ctx.store.total_bytes() as u64);
+    line("stream_sessions", ctx.sessions.len() as u64);
+    line("durability_enabled", u64::from(ctx.durability.enabled()));
     for (name, value) in [
         ("wal_records_written_total", &d.wal_records_written),
         ("wal_records_replayed_total", &d.wal_records_replayed),
@@ -877,10 +930,7 @@ fn metrics_endpoint(ctx: &RouteContext<'_>) -> Response {
         ("models_recovered", &d.models_recovered),
         ("models_degraded", &d.models_degraded),
     ] {
-        out.push_str(&format!(
-            "graphserve_{name} {}\n",
-            value.load(Ordering::Relaxed)
-        ));
+        line(name, value.load(Relaxed));
     }
     Response::text(200, out)
 }
@@ -907,9 +957,7 @@ mod tests {
         Request::read_from(&mut std::io::Cursor::new(bytes), 1 << 20).unwrap()
     }
 
-    /// Store + session registry + stats + durability, so the tests below
-    /// can keep the old three-argument call shape via the local `handle`
-    /// wrapper.
+    /// Everything a [`RouteContext`] borrows, around the demo model.
     struct TestCtx {
         store: ModelStore,
         sessions: SessionRegistry,
@@ -918,24 +966,20 @@ mod tests {
     }
 
     impl TestCtx {
-        fn reader(&self) -> StoreReader<'_> {
-            self.store.reader()
+        /// Handles `req` as a worker would, through a fresh registry view.
+        fn handle(&self, req: &Request) -> Response {
+            let ctx = RouteContext {
+                store: &self.store,
+                sessions: &self.sessions,
+                stats: &self.stats,
+                durability: &self.durability,
+            };
+            super::handle(req, &mut self.store.reader(), &ctx)
         }
-    }
 
-    /// Shadows `super::handle`: adapts a [`TestCtx`] into a
-    /// [`RouteContext`].
-    fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &TestCtx) -> Response {
-        super::handle(
-            req,
-            reader,
-            &RouteContext {
-                store: &ctx.store,
-                sessions: &ctx.sessions,
-                stats: &ctx.stats,
-                durability: &ctx.durability,
-            },
-        )
+        fn send(&self, method: &str, target: &str, body: &[u8]) -> Response {
+            self.handle(&request(method, target, body))
+        }
     }
 
     fn demo_store() -> TestCtx {
@@ -968,27 +1012,21 @@ mod tests {
     #[test]
     fn health_and_listing() {
         let store = demo_store();
-        let mut reader = store.reader();
-        let resp = handle(&request("GET", "/health", b""), &mut reader, &store);
+        let resp = store.send("GET", "/health", b"");
         assert_eq!(resp.status, 200);
         assert!(body_text(&resp).contains("\"models\":1"));
-        let resp = handle(&request("GET", "/models", b""), &mut reader, &store);
+        let resp = store.send("GET", "/models", b"");
         assert!(body_text(&resp).contains("\"name\":\"demo\""));
-        let resp = handle(&request("GET", "/models/demo", b""), &mut reader, &store);
+        let resp = store.send("GET", "/models/demo", b"");
         assert!(body_text(&resp).contains("\"best_length\":16"));
     }
 
     #[test]
     fn score_json_and_csv() {
         let store = demo_store();
-        let mut reader = store.reader();
         let series: Vec<f64> = (0..80).map(|i| (i as f64 * 0.3).sin()).collect();
         let body = crate::json::f64s_to_json(&series);
-        let resp = handle(
-            &request("POST", "/models/demo/score?context=3", body.as_bytes()),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("POST", "/models/demo/score?context=3", body.as_bytes());
         assert_eq!(resp.status, 200, "{}", body_text(&resp));
         assert!(body_text(&resp).starts_with("{\"scores\":["));
 
@@ -1003,7 +1041,7 @@ mod tests {
             csv_body.len()
         );
         let req = Request::read_from(&mut std::io::Cursor::new(raw.into_bytes()), 1 << 20).unwrap();
-        let resp = handle(&req, &mut reader, &store);
+        let resp = store.handle(&req);
         assert_eq!(resp.status, 200);
         assert!(body_text(&resp).starts_with("score\n"));
     }
@@ -1011,32 +1049,18 @@ mod tests {
     #[test]
     fn short_series_is_422_unknown_model_404() {
         let store = demo_store();
-        let mut reader = store.reader();
-        let resp = handle(
-            &request("POST", "/models/demo/score", b"[1,2,3]"),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("POST", "/models/demo/score", b"[1,2,3]");
         assert_eq!(resp.status, 422);
         assert!(body_text(&resp).contains("too short"));
-        let resp = handle(
-            &request("POST", "/models/nope/score", b"[1,2,3]"),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("POST", "/models/nope/score", b"[1,2,3]");
         assert_eq!(resp.status, 404);
     }
 
     #[test]
     fn bad_bodies_are_400() {
         let store = demo_store();
-        let mut reader = store.reader();
         for body in [&b"{\"series\": \"x\"}"[..], b"not,numbers,at,all", b"[1,2,"] {
-            let resp = handle(
-                &request("POST", "/models/demo/score", body),
-                &mut reader,
-                &store,
-            );
+            let resp = store.send("POST", "/models/demo/score", body);
             assert_eq!(resp.status, 400, "body {body:?}: {}", body_text(&resp));
         }
     }
@@ -1044,7 +1068,6 @@ mod tests {
     #[test]
     fn batch_matches_single_requests_bit_for_bit() {
         let store = demo_store();
-        let mut reader = store.reader();
         let rows: Vec<Vec<f64>> = (0..5)
             .map(|p| (0..80).map(|i| ((i + p) as f64 * 0.3).sin()).collect())
             .collect();
@@ -1057,28 +1080,20 @@ mod tests {
                 batch_body.push_str(&crate::json::f64s_to_json(row));
             }
             batch_body.push(']');
-            let resp = handle(
-                &request(
-                    "POST",
-                    &format!("/models/demo/batch?op={op}&context=3"),
-                    batch_body.as_bytes(),
-                ),
-                &mut reader,
-                &store,
+            let resp = store.send(
+                "POST",
+                &format!("/models/demo/batch?op={op}&context=3"),
+                batch_body.as_bytes(),
             );
             assert_eq!(resp.status, 200, "{}", body_text(&resp));
             let batch = Json::parse(body_text(&resp)).unwrap();
             let results = batch.get("results").unwrap().as_arr().unwrap();
             assert_eq!(results.len(), rows.len());
             for (row, result) in rows.iter().zip(results) {
-                let single = handle(
-                    &request(
-                        "POST",
-                        &format!("/models/demo/{op}?context=3"),
-                        crate::json::f64s_to_json(row).as_bytes(),
-                    ),
-                    &mut reader,
-                    &store,
+                let single = store.send(
+                    "POST",
+                    &format!("/models/demo/{op}?context=3"),
+                    crate::json::f64s_to_json(row).as_bytes(),
                 );
                 let single = Json::parse(body_text(&single)).unwrap();
                 assert_eq!(*result, single, "batch row differs from single {op}");
@@ -1089,7 +1104,6 @@ mod tests {
     #[test]
     fn batch_isolates_per_row_errors() {
         let store = demo_store();
-        let mut reader = store.reader();
         // Second row is too short; first and third must still succeed.
         let good: Vec<f64> = (0..80).map(|i| (i as f64 * 0.3).sin()).collect();
         let body = format!(
@@ -1097,11 +1111,7 @@ mod tests {
             crate::json::f64s_to_json(&good),
             crate::json::f64s_to_json(&good)
         );
-        let resp = handle(
-            &request("POST", "/models/demo/batch?op=predict", body.as_bytes()),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("POST", "/models/demo/batch?op=predict", body.as_bytes());
         assert_eq!(resp.status, 200);
         let parsed = Json::parse(body_text(&resp)).unwrap();
         let results = parsed.get("results").unwrap().as_arr().unwrap();
@@ -1114,37 +1124,20 @@ mod tests {
     #[test]
     fn graphoid_and_render() {
         let store = demo_store();
-        let mut reader = store.reader();
-        let resp = handle(
-            &request(
-                "GET",
-                "/models/demo/graphoid?cluster=0&kind=gamma&threshold=0.1",
-                b"",
-            ),
-            &mut reader,
-            &store,
+        let resp = store.send(
+            "GET",
+            "/models/demo/graphoid?cluster=0&kind=gamma&threshold=0.1",
+            b"",
         );
         assert_eq!(resp.status, 200);
         assert!(body_text(&resp).contains("\"nodes\":["));
-        let resp = handle(
-            &request("GET", "/models/demo/graphoid?cluster=9", b""),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("GET", "/models/demo/graphoid?cluster=9", b"");
         assert_eq!(resp.status, 422);
 
-        let resp = handle(
-            &request("GET", "/models/demo/render?format=svg", b""),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("GET", "/models/demo/render?format=svg", b"");
         assert_eq!(resp.status, 200);
         assert!(body_text(&resp).contains("<svg"));
-        let resp = handle(
-            &request("GET", "/models/demo/render?format=ascii", b""),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("GET", "/models/demo/render?format=ascii", b"");
         assert_eq!(resp.status, 200);
         assert!(body_text(&resp).contains("k-Graph model"));
     }
@@ -1152,7 +1145,6 @@ mod tests {
     #[test]
     fn fit_on_demand_then_serve() {
         let store = demo_store();
-        let mut reader = store.reader();
         let rows: Vec<String> = (0..6)
             .map(|p| {
                 (0..40)
@@ -1162,70 +1154,55 @@ mod tests {
             })
             .collect();
         let body = rows.join("\n");
-        let resp = handle(
-            &request("PUT", "/models/fresh?k=2&seed=7", body.as_bytes()),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("PUT", "/models/fresh?k=2&seed=7", body.as_bytes());
         assert_eq!(resp.status, 201, "{}", body_text(&resp));
         let series: Vec<f64> = (0..40).map(|i| (i as f64 * 0.4).sin()).collect();
-        let resp = handle(
-            &request(
-                "POST",
-                "/models/fresh/predict",
-                crate::json::f64s_to_json(&series).as_bytes(),
-            ),
-            &mut reader,
-            &store,
+        let resp = store.send(
+            "POST",
+            "/models/fresh/predict",
+            crate::json::f64s_to_json(&series).as_bytes(),
         );
         assert_eq!(resp.status, 200, "{}", body_text(&resp));
         // And delete it again.
-        let resp = handle(
-            &request("DELETE", "/models/fresh", b""),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("DELETE", "/models/fresh", b"");
         assert_eq!(resp.status, 200);
         // Fit rejects short series.
-        let resp = handle(
-            &request("PUT", "/models/tiny", b"1,2\n3,4"),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("PUT", "/models/tiny", b"1,2\n3,4");
         assert_eq!(resp.status, 422);
+        // Fit rejects a name the durability layer could not persist.
+        let resp = store.send("PUT", "/models/a\"b", body.as_bytes());
+        assert_eq!(resp.status, 422, "{}", body_text(&resp));
+        assert_eq!(store.store.len(), 1);
+        // Delete escapes the name of a model registered by other means.
+        let demo = store.store.reader().get("demo").unwrap();
+        store.store.insert("a\"b", demo);
+        let resp = store.send("DELETE", "/models/a\"b", b"");
+        assert_eq!(resp.status, 200);
+        let parsed = Json::parse(body_text(&resp)).expect("valid JSON");
+        assert_eq!(parsed.get("deleted"), Some(&Json::Str("a\"b".into())));
     }
 
     #[test]
     fn unknown_routes_and_methods() {
         let store = demo_store();
-        let mut reader = store.reader();
-        let resp = handle(&request("GET", "/nope", b""), &mut reader, &store);
+        let resp = store.send("GET", "/nope", b"");
         assert_eq!(resp.status, 404);
-        let resp = handle(&request("PATCH", "/models/demo", b""), &mut reader, &store);
+        let resp = store.send("PATCH", "/models/demo", b"");
         assert_eq!(resp.status, 405);
     }
 
     #[test]
     fn ingest_and_stream_status() {
         let store = demo_store();
-        let mut reader = store.reader();
         // Before any ingest: model exists, session does not.
-        let resp = handle(
-            &request("GET", "/models/demo/stream-status", b""),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("GET", "/models/demo/stream-status", b"");
         assert_eq!(resp.status, 200);
         assert!(body_text(&resp).contains("\"active\":false"));
 
         // Ingest a full wave via the object form.
         let points: Vec<f64> = (0..60).map(|i| (i as f64 * 0.3).sin()).collect();
         let body = format!("{{\"series\":0,\"points\":{}}}", f64s_to_json(&points));
-        let resp = handle(
-            &request("POST", "/models/demo/ingest", body.as_bytes()),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("POST", "/models/demo/ingest", body.as_bytes());
         assert_eq!(resp.status, 200, "{}", body_text(&resp));
         let parsed = Json::parse(body_text(&resp)).unwrap();
         assert_eq!(parsed.get("series").unwrap().as_f64(), Some(0.0));
@@ -1238,18 +1215,10 @@ mod tests {
             .map(f64::to_string)
             .collect::<Vec<_>>()
             .join(",");
-        let resp = handle(
-            &request("POST", "/models/demo/ingest?series=1", csv.as_bytes()),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("POST", "/models/demo/ingest?series=1", csv.as_bytes());
         assert_eq!(resp.status, 200, "{}", body_text(&resp));
 
-        let resp = handle(
-            &request("GET", "/models/demo/stream-status", b""),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("GET", "/models/demo/stream-status", b"");
         assert_eq!(resp.status, 200);
         let status = Json::parse(body_text(&resp)).unwrap();
         assert_eq!(status.get("points_total").unwrap().as_f64(), Some(120.0));
@@ -1259,43 +1228,26 @@ mod tests {
         );
 
         // Out-of-range series index maps to 422; bad bodies to 400.
-        let resp = handle(
-            &request("POST", "/models/demo/ingest?series=9", b"[1,2,3]"),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("POST", "/models/demo/ingest?series=9", b"[1,2,3]");
         assert_eq!(resp.status, 422, "{}", body_text(&resp));
-        let resp = handle(
-            &request("POST", "/models/demo/ingest", b"{\"points\":[]}"),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("POST", "/models/demo/ingest", b"{\"points\":[]}");
         assert_eq!(resp.status, 400);
-        let resp = handle(
-            &request("POST", "/models/nope/ingest", b"[1,2]"),
-            &mut reader,
-            &store,
-        );
+        let resp = store.send("POST", "/models/nope/ingest", b"[1,2]");
         assert_eq!(resp.status, 404);
     }
 
     #[test]
     fn delete_drops_the_stream_session() {
         let store = demo_store();
-        let mut reader = store.reader();
         let points: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin()).collect();
-        let resp = handle(
-            &request(
-                "POST",
-                "/models/demo/ingest",
-                f64s_to_json(&points).as_bytes(),
-            ),
-            &mut reader,
-            &store,
+        let resp = store.send(
+            "POST",
+            "/models/demo/ingest",
+            f64s_to_json(&points).as_bytes(),
         );
         assert_eq!(resp.status, 200, "{}", body_text(&resp));
         assert_eq!(store.sessions.len(), 1);
-        let resp = handle(&request("DELETE", "/models/demo", b""), &mut reader, &store);
+        let resp = store.send("DELETE", "/models/demo", b"");
         assert_eq!(resp.status, 200);
         assert!(store.sessions.is_empty(), "session died with its model");
     }
@@ -1303,26 +1255,61 @@ mod tests {
     #[test]
     fn metrics_reports_route_counts() {
         let store = demo_store();
-        let mut reader = store.reader();
-        for _ in 0..3 {
-            handle(&request("GET", "/health", b""), &mut reader, &store);
+        let one = f64s_to_json(&(0..40).map(|i| (i as f64 * 0.4).sin()).collect::<Vec<_>>());
+        let many = format!("[{one},{one},{one},{one}]");
+        // One request per route, in `Route::ALL` order; unknown paths and
+        // methods count as `other`.
+        let sent = [
+            (Route::Health, "GET", "/health", ""),
+            (Route::Models, "GET", "/models", ""),
+            (Route::ModelInfo, "GET", "/models/demo", ""),
+            (Route::Fit, "PUT", "/models/fresh?n_lengths=1", &many),
+            (Route::Delete, "DELETE", "/models/fresh", ""),
+            (Route::Score, "POST", "/models/demo/score", &one),
+            (Route::Features, "POST", "/models/demo/features", &one),
+            (Route::Predict, "POST", "/models/demo/predict", &one),
+            (Route::Batch, "POST", "/models/demo/batch", &many),
+            (Route::Graphoid, "GET", "/models/demo/graphoid", ""),
+            (Route::Render, "GET", "/models/demo/render?format=ascii", ""),
+            (Route::Ingest, "POST", "/models/demo/ingest", &one),
+            (Route::StreamStatus, "GET", "/models/demo/stream-status", ""),
+            (Route::Metrics, "GET", "/metrics", ""),
+            (Route::DebugSleep, "GET", "/debug/sleep?ms=0", ""),
+            (Route::Other, "GET", "/nope", ""),
+            (Route::Other, "PATCH", "/models/demo", ""),
+        ];
+        // Indexed by discriminant; `route_counts` reads in `ALL` order.
+        let mut expected = [0; Route::ALL.len()];
+        for (route, method, target, body) in sent {
+            let resp = store.send(method, target, body.as_bytes());
+            assert_eq!(
+                resp.status >= 400,
+                route == Route::Other,
+                "{method} {target}"
+            );
+            expected[route as usize] += 1;
+            let counts: Vec<u64> = store.stats.route_counts().map(|(_, n)| n).collect();
+            assert_eq!(counts, expected, "{method} {target}");
         }
-        handle(&request("GET", "/nope", b""), &mut reader, &store);
-        let resp = handle(&request("GET", "/metrics", b""), &mut reader, &store);
+        assert!(!expected.contains(&0), "every route is exercised");
+
+        // The scrape counts itself before it reads the counters.
+        expected[Route::Metrics as usize] += 1;
+        let resp = store.send("GET", "/metrics", b"");
         assert_eq!(resp.status, 200);
         let text = body_text(&resp);
-        assert!(
-            text.contains("graphserve_route_requests_total{route=\"health\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("graphserve_route_requests_total{route=\"other\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("graphserve_route_requests_total{route=\"metrics\"} 1"),
-            "{text}"
-        );
+        let lines: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("graphserve_route_requests_total"))
+            .collect();
+        let want: Vec<String> = Route::ALL
+            .iter()
+            .map(|(r, label)| {
+                let n = expected[*r as usize];
+                format!("graphserve_route_requests_total{{route=\"{label}\"}} {n}")
+            })
+            .collect();
+        assert_eq!(lines, want, "{text}");
         assert!(text.contains("graphserve_models 1"), "{text}");
         assert!(
             text.contains("graphserve_queue_depth_high_water 0"),

@@ -24,7 +24,7 @@
 use crate::durability::Durability;
 use crate::http::{HttpError, Request, Response};
 use crate::queue::{BoundedQueue, PushError};
-use crate::routes::{self, RouteContext};
+use crate::routes::{self, Route, RouteContext};
 use crate::store::ModelStore;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -71,28 +71,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Route labels tracked by the per-route request counters, in counter
-/// order. `routes::handle` classifies every request into exactly one.
-pub const ROUTE_LABELS: [&str; 17] = [
-    "health",
-    "healthz",
-    "models",
-    "model_info",
-    "fit",
-    "delete",
-    "score",
-    "features",
-    "predict",
-    "batch",
-    "graphoid",
-    "render",
-    "ingest",
-    "stream_status",
-    "metrics",
-    "debug_sleep",
-    "other",
-];
-
 /// Monotonic counters, shared by all server threads.
 #[derive(Debug)]
 pub struct ServerStats {
@@ -104,8 +82,8 @@ pub struct ServerStats {
     pub served: AtomicU64,
     /// Highest admission-queue depth observed by the accept thread.
     pub queue_high_water: AtomicU64,
-    /// Requests dispatched per route, indexed like [`ROUTE_LABELS`].
-    routes: [AtomicU64; ROUTE_LABELS.len()],
+    /// Requests dispatched per route, indexed by [`Route`] discriminant.
+    routes: [AtomicU64; Route::ALL.len()],
 }
 
 impl Default for ServerStats {
@@ -121,21 +99,18 @@ impl Default for ServerStats {
 }
 
 impl ServerStats {
-    /// Bumps the counter of `label`; unknown labels count as `"other"`.
-    pub fn bump_route(&self, label: &str) {
-        let idx = ROUTE_LABELS
-            .iter()
-            .position(|l| *l == label)
-            .unwrap_or(ROUTE_LABELS.len() - 1);
-        self.routes[idx].fetch_add(1, Ordering::Relaxed);
+    /// Counts one request dispatched to `route`.
+    pub(crate) fn bump_route(&self, route: Route) {
+        self.routes[route as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot of the per-route counters, in [`ROUTE_LABELS`] order.
+    /// Snapshot of the per-route counters, labelled, in [`Route::ALL`]
+    /// order.
     pub fn route_counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        ROUTE_LABELS
+        Route::ALL
             .iter()
             .zip(&self.routes)
-            .map(|(label, n)| (*label, n.load(Ordering::Relaxed)))
+            .map(|((_, label), n)| (*label, n.load(Ordering::Relaxed)))
     }
 }
 

@@ -328,7 +328,7 @@ fn assert_wal_write_fault_is_retryable(tag: &str, plan: FaultPlan) {
 
     // The rollback succeeded: not degraded, nothing acknowledged, and the
     // session was never touched (journal first, apply second).
-    let resp = h.handle("GET", "/healthz", "");
+    let resp = h.handle("GET", "/health", "");
     assert_eq!(resp.status, 200);
     assert!(
         body_text(&resp).contains("\"status\":\"ok\""),
@@ -432,8 +432,8 @@ fn failed_rollback_degrades_the_model_read_only() {
         body_text(&resp)
     );
 
-    // Surfaced via /healthz and /metrics; reads still serve.
-    let resp = h.handle("GET", "/healthz", "");
+    // Surfaced via /health and /metrics; reads still serve.
+    let resp = h.handle("GET", "/health", "");
     assert_eq!(resp.status, 200, "degraded still serves reads");
     assert!(
         body_text(&resp).contains("\"status\":\"degraded\""),
@@ -505,7 +505,7 @@ fn lying_short_write_is_surfaced_at_recovery() {
             > 0,
         "the loss is counted, not silent"
     );
-    let resp = h.handle("GET", "/healthz", "");
+    let resp = h.handle("GET", "/health", "");
     assert!(
         body_text(&resp).contains("\"status\":\"ok\""),
         "{}",
@@ -604,7 +604,7 @@ fn corrupt_newest_snapshot_with_newer_wal_degrades_read_only() {
         "{}",
         body_text(&resp)
     );
-    let resp = h.handle("GET", "/healthz", "");
+    let resp = h.handle("GET", "/health", "");
     assert_eq!(resp.status, 200);
     assert!(
         body_text(&resp).contains("\"status\":\"degraded\""),
@@ -671,7 +671,7 @@ fn rotation_failure_before_rename_falls_back_to_the_old_journal() {
         let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(i));
         assert_eq!(resp.status, 200, "{}", body_text(&resp));
     }
-    let resp = h.handle("GET", "/healthz", "");
+    let resp = h.handle("GET", "/health", "");
     assert!(
         body_text(&resp).contains("\"status\":\"ok\""),
         "rotation failure with an intact journal is not a degradation: {}",
@@ -715,7 +715,7 @@ fn assert_unusable_rotation_degrades(tag: &str, plan: FlakyPlan) {
         "{}",
         body_text(&resp)
     );
-    let resp = h.handle("GET", "/healthz", "");
+    let resp = h.handle("GET", "/health", "");
     assert!(
         body_text(&resp).contains("\"status\":\"degraded\""),
         "{}",
@@ -878,6 +878,36 @@ fn ingest_error_mapping_is_stable() {
         0,
         "invalid requests never reach the journal"
     );
+
+    // Non-finite values (JSON `1e400` overflows to infinity) are refused
+    // at the boundary on every route that parses series: 422, nothing
+    // journaled, nothing applied.
+    let probe = probe_series();
+    let json = format!("[1e400,{}", &probe[1..]);
+    let csv = format!("NaN,{}", &probe[1..probe.len() - 1]);
+    let cases = [
+        (json.clone(), format!("[{json},{json}]")),
+        (csv.clone(), format!("{csv}\n{csv}")),
+    ];
+    for (one, many) in &cases {
+        for (method, target, body) in [
+            ("POST", "/models/demo/score", one),
+            ("POST", "/models/demo/batch", many),
+            ("PUT", "/models/poison", many),
+            ("POST", "/models/demo/ingest", one),
+        ] {
+            let resp = h.handle(method, target, body);
+            assert_eq!(resp.status, 422, "{method} {target}: {}", body_text(&resp));
+        }
+    }
+    assert_eq!(
+        h.durability
+            .counters()
+            .wal_records_written
+            .load(Ordering::Relaxed),
+        0
+    );
+    assert_eq!(points_total(&h), 0);
 
     // A valid ingest is journaled and applied.
     let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(0));

@@ -5,7 +5,7 @@
 //! milliseconds. This module writes everything a fitted model holds — the
 //! per-length graph layers (node patterns + CSR edge triples), the stored
 //! embeddings (PCA, radial nodes), paths, partitions, consensus matrix and
-//! scores — into a little-endian, length-prefixed binary format (`KGM1`).
+//! scores — into a little-endian, length-prefixed binary format (`KGM2`).
 //!
 //! Graphs are stored as node payloads plus `(src, dst, weight)` edge
 //! triples and rebuilt through [`tsgraph::GraphBuilder`] at load time; the
@@ -22,8 +22,7 @@
 //! `KGM2` files end in a CRC-32 trailer ([`tsgraph::checksum`]) over every
 //! preceding byte, verified *before* parsing so truncation and bit rot are
 //! reported as corruption rather than as a confusing structural error deep
-//! inside the file. Checksum-less `KGM1` files (written before the trailer
-//! existed) still load. Delta state ([`write_delta_state`]) uses the same
+//! inside the file. Delta state ([`write_delta_state`]) uses the same
 //! trailer under its own magic, `KGD1`.
 
 use crate::build::{GraphLayer, LayerEmbedding, NodePattern};
@@ -41,9 +40,6 @@ use tsgraph::{GraphBuilder, NodeId};
 
 /// File magic of the current (checksummed) format version.
 const MAGIC: &[u8; 4] = b"KGM2";
-
-/// Legacy magic: identical body, no CRC trailer. Still readable.
-const MAGIC_V1: &[u8; 4] = b"KGM1";
 
 /// Magic of the streaming delta-state blob.
 const DELTA_MAGIC: &[u8; 4] = b"KGD1";
@@ -424,27 +420,23 @@ pub fn verify_trailer<'a>(bytes: &'a [u8], kind: &str) -> Result<&'a [u8], TsErr
     Ok(payload)
 }
 
-/// Decodes a model from `KGM2` (checksummed) or legacy `KGM1` bytes.
+/// Decodes a model from `KGM2` bytes.
 ///
 /// # Errors
 ///
-/// [`TsError::Parse`] on a wrong magic, a CRC-32 mismatch (v2), truncation,
+/// [`TsError::Parse`] on a wrong magic, a CRC-32 mismatch, truncation,
 /// or any internal inconsistency (edge/path references outside the node
 /// range, PCA shape mismatches, out-of-range layer index).
 pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
     let magic: &[u8] = bytes
         .get(..4)
         .ok_or_else(|| TsError::Parse(format!("model file truncated ({} bytes)", bytes.len())))?;
-    let body = if magic == MAGIC {
-        verify_trailer(bytes, "KGM2 model")?
-    } else if magic == MAGIC_V1 {
-        bytes
-    } else {
+    if magic != MAGIC {
         return Err(TsError::Parse(format!(
-            "not a KGM1/KGM2 model file (magic {magic:?})"
+            "not a KGM2 model file (magic {magic:?})"
         )));
-    };
-    let bytes = body;
+    }
+    let bytes = verify_trailer(bytes, "KGM2 model")?;
     let mut c = Cursor::new(bytes);
     c.take(4)?; // magic, validated above
     let config = read_config(&mut c)?;
@@ -716,17 +708,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_load() {
+    fn legacy_v1_files_are_rejected() {
         let model = fitted();
         let bytes = write_model(&model);
         // A v1 file is exactly the v2 body (no trailer) under the old
-        // magic.
+        // magic, which is now an unknown one.
         let mut v1 = bytes[..bytes.len() - 4].to_vec();
         v1[..4].copy_from_slice(b"KGM1");
-        let loaded = read_model(&v1).expect("legacy file must load");
-        assert_eq!(loaded.labels, model.labels);
-        // But a corrupt v1 file is still caught by the structural checks.
-        assert!(read_model(&v1[..v1.len() / 2]).is_err());
+        match read_model(&v1) {
+            Err(TsError::Parse(msg)) => assert!(msg.contains("magic"), "{msg}"),
+            other => panic!("a KGM1 file must not load, got {other:?}"),
+        }
     }
 
     #[test]

@@ -348,7 +348,7 @@ fn sigkill_mid_ingest_recovers_the_acknowledged_prefix_bit_identically() {
     let _child2 = spawn_child(dir, &port2);
     let addr2 = wait_for_port(&port2);
 
-    let (status, health) = request(addr2, "GET", "/healthz", "");
+    let (status, health) = request(addr2, "GET", "/health", "");
     assert_eq!(status, 200, "{health}");
     assert!(health.contains("\"status\":\"ok\""), "{health}");
 
