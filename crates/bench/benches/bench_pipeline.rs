@@ -1,13 +1,13 @@
 //! Stage-attributed criterion benches for the end-to-end pipeline.
 //!
 //! Every label is `pipeline/<stage>/<variant>` with `<stage>` one of
-//! `build` / `fit` / `features` / `cluster` / `render` (see
+//! `build` / `fit` / `features` / `cluster` / `consensus` / `render` (see
 //! `bench::stages`). The committed `crates/bench/BENCH_pipeline.json` is
 //! the recorded baseline; CI reruns this bench and gates merges with
 //! `bench_compare` on per-stage geomean ratios. Scaling variants (series
 //! count, length, parallel vs serial jobs) all live under the `fit` stage.
 
-use bench::stages::{ScaleFixture, StageFixture};
+use bench::stages::{ConsensusFixture, ScaleFixture, StageFixture};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgraph::{KGraph, KGraphConfig};
 
@@ -44,6 +44,17 @@ fn bench_stages(c: &mut Criterion) {
     let model = fx.run_fit();
     group.bench_function(BenchmarkId::new("render", "graph"), |b| {
         b.iter(|| fx.run_render(black_box(&model)))
+    });
+    group.finish();
+}
+
+fn bench_consensus(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pipeline");
+    group.sample_size(10);
+    let fx = ConsensusFixture::standard_450();
+    // Spectral consensus: one 450 × 450 Laplacian eigensolve plus k-Means.
+    group.bench_function(BenchmarkId::new("consensus", "spectral_450"), |b| {
+        b.iter(|| black_box(&fx).run_consensus())
     });
     group.finish();
 }
@@ -109,6 +120,7 @@ criterion_group!(
     benches,
     bench_stages,
     bench_fit_scaling,
+    bench_consensus,
     bench_render_at_scale
 );
 criterion_main!(benches);

@@ -1,9 +1,10 @@
 //! Stage-attributed pipeline fixture for the regression-gated benches.
 //!
-//! The end-to-end k-Graph pipeline decomposes into five stages —
+//! The end-to-end k-Graph pipeline decomposes into six stages —
 //! **build** (subsequence embedding + radial scan + graph construction),
 //! **fit** (the full multi-length model), **features** (path → feature
-//! matrix), **cluster** (k-Means over the features) and **render** (the
+//! matrix), **cluster** (k-Means over the features), **consensus**
+//! (spectral clustering of the consensus matrix) and **render** (the
 //! Graph frame's node-link view). `bench_pipeline` times each stage under
 //! a label of the form `pipeline/<stage>/<variant>`, and
 //! [`crate::baseline`] aggregates ratios per `<stage>` — so a regression
@@ -15,19 +16,21 @@
 use graphint::frames::graph::GraphFrame;
 use graphint::plot::{DetailLevel, GraphPlot, RenderBudget};
 use kgraph::build::GraphLayer;
+use kgraph::consensus::consensus_labels;
 use kgraph::embed::project_subsequences;
 use kgraph::features::{cluster_layer, feature_matrix};
 use kgraph::graphoid::ClusterStats;
 use kgraph::nodes::radial_scan;
 use kgraph::{KGraph, KGraphConfig, KGraphModel, NodePattern, PatternGraph};
+use linalg::Matrix;
 use tscore::Dataset;
 use tsgraph::layout::LayoutEngine;
 use tsgraph::{GraphBuilder, NodeId};
 
-/// The five stage names, in pipeline order. These are the `<stage>` path
+/// The six stage names, in pipeline order. These are the `<stage>` path
 /// segments of every `pipeline/<stage>/<variant>` bench label and the keys
 /// the comparison gate aggregates by.
-pub const STAGE_NAMES: [&str; 5] = ["build", "fit", "features", "cluster", "render"];
+pub const STAGE_NAMES: [&str; 6] = ["build", "fit", "features", "cluster", "consensus", "render"];
 
 /// Deterministic workload shared by every stage bench.
 pub struct StageFixture {
@@ -94,6 +97,35 @@ impl StageFixture {
     /// Stage `render`: the Graph frame's ASCII/ANSI node-link view.
     pub fn run_render(&self, model: &KGraphModel) -> String {
         GraphFrame::with_auto_thresholds(model).render_graph()
+    }
+}
+
+/// Consensus fixture: the consensus matrix of a k-Graph fit on 450 CBF
+/// series of 64 points (150 per class, fixed seed), the many-series shape
+/// where the n × n Laplacian eigensolve of spectral consensus dominates
+/// the fit. Built once; `pipeline/consensus/spectral_450` times only the
+/// final-partition step.
+pub struct ConsensusFixture {
+    /// The 450 × 450 consensus matrix of the fitted model.
+    pub consensus: Matrix,
+    /// The configuration the matrix was fitted with (supplies k and seed).
+    pub config: KGraphConfig,
+}
+
+impl ConsensusFixture {
+    /// The standard fixture: `cbf(150, 64, 0)` under the default config.
+    pub fn standard_450() -> Self {
+        let config = KGraphConfig::new(3);
+        let model = KGraph::new(config.clone()).fit(&datasets::cbf::cbf(150, 64, 0));
+        ConsensusFixture {
+            consensus: model.consensus,
+            config,
+        }
+    }
+
+    /// Stage `consensus`: spectral clustering of the consensus matrix.
+    pub fn run_consensus(&self) -> Vec<usize> {
+        consensus_labels(&self.consensus, self.config.k, self.config.seed)
     }
 }
 
@@ -212,6 +244,15 @@ mod tests {
         assert_eq!(model.labels.len(), fx.dataset.len());
         let svg = fx.run_render(&model);
         assert!(!svg.is_empty());
+    }
+
+    #[test]
+    fn consensus_fixture_labels_every_series() {
+        let fx = ConsensusFixture::standard_450();
+        assert_eq!(fx.consensus.shape(), (450, 450));
+        let labels = fx.run_consensus();
+        assert_eq!(labels.len(), 450);
+        assert!(labels.iter().all(|&l| l < fx.config.k));
     }
 
     #[test]

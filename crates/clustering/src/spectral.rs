@@ -33,8 +33,7 @@ impl SpectralOptions {
 /// Spectral clustering on a precomputed symmetric affinity matrix.
 ///
 /// Pipeline: symmetric normalised Laplacian `L = I − D^{-1/2} A D^{-1/2}`,
-/// bottom-k eigenvectors (computed exactly via Jacobi), row-normalised
-/// spectral embedding, k-Means.
+/// bottom-k eigenvectors, row-normalised spectral embedding, k-Means.
 ///
 /// Panics if the affinity is not square or `k == 0`. Negative affinities are
 /// clamped to zero; isolated rows (zero degree) are tolerated.
@@ -71,7 +70,7 @@ pub fn spectral_clustering(affinity: &Matrix, opts: SpectralOptions) -> Vec<usiz
         }
     }
 
-    // Bottom-k eigenvectors = last k columns (Jacobi sorts descending).
+    // Bottom-k eigenvectors = last k columns (values sort descending).
     let eig = symmetric_eigen(&lap);
     let k = opts.k.min(n);
     let mut embedding = vec![vec![0.0f64; k]; n];

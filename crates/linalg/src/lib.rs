@@ -4,8 +4,8 @@
 //!
 //! * [`Matrix`] — dense row-major `f64` matrix with the handful of
 //!   operations the pipeline needs (products, transpose, covariance),
-//! * [`eigen`] — Jacobi eigendecomposition for symmetric matrices plus
-//!   power iteration (used by spectral clustering, PCA and k-Shape),
+//! * [`eigen`] — symmetric eigendecomposition (Householder + implicit QL)
+//!   plus power iteration (used by spectral clustering, PCA and k-Shape),
 //! * [`pca`] — principal component analysis (the 2-D projection behind
 //!   k-Graph's graph embedding),
 //! * [`fft`] — iterative radix-2 FFT and FFT-backed cross-correlation

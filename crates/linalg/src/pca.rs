@@ -2,12 +2,15 @@
 //!
 //! k-Graph's graph embedding projects every subsequence of length ℓ into a
 //! 2-D space via PCA "while retaining their essential shapes" (paper §II-A).
-//! This implementation fits on the covariance matrix with Jacobi
-//! eigendecomposition, which is exact and deterministic.
+//! This implementation fits on the covariance matrix with a full symmetric
+//! eigendecomposition ([`symmetric_eigen`]), which is exact and
+//! deterministic, signs included.
 //!
-//! When ℓ is large, computing an ℓ × ℓ covariance is wasteful for a 2-D
-//! projection, but ℓ ≤ a few hundred here and the covariance accumulation —
-//! not the eigendecomposition — dominates; both are fine at this scale.
+//! The O(ℓ³) eigensolve, not the covariance accumulation, is the cost that
+//! grows fastest: cyclic Jacobi needed 80–85 ms at ℓ = 128. Householder
+//! tridiagonalisation plus QL does the same solve in 3–4 ms, so computing
+//! all ℓ axes to keep 2 needs no separate top-k solver at the ℓ ≤ a few
+//! hundred used here.
 
 use crate::eigen::symmetric_eigen;
 use crate::matrix::Matrix;

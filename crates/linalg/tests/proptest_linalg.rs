@@ -44,23 +44,38 @@ proptest! {
     }
 
     #[test]
-    fn eigenvalues_sum_to_trace(vals in proptest::collection::vec(-4.0..4.0f64, 6..=6)) {
-        // Build 3x3 symmetric from 6 free entries.
-        let mut m = Matrix::zeros(3, 3);
+    fn eigenvalues_sum_to_trace(
+        n in 1usize..=8,
+        vals in proptest::collection::vec(-4.0..4.0f64, 36..=36),
+    ) {
+        // Build an n x n symmetric matrix from the first n(n+1)/2 entries.
+        let mut m = Matrix::zeros(n, n);
         let mut it = vals.into_iter();
-        for i in 0..3 {
-            for j in i..3 {
+        for i in 0..n {
+            for j in i..n {
                 let v = it.next().unwrap();
                 m[(i, j)] = v;
                 m[(j, i)] = v;
             }
         }
-        let trace: f64 = (0..3).map(|i| m[(i, i)]).sum();
+        let trace: f64 = (0..n).map(|i| m[(i, i)]).sum();
         let e = linalg::symmetric_eigen(&m);
         let sum: f64 = e.values.iter().sum();
         prop_assert!((trace - sum).abs() < 1e-8, "trace {trace} vs eigsum {sum}");
         // Sorted descending.
         prop_assert!(e.values.windows(2).all(|w| w[0] >= w[1] - 1e-12));
+        // A V = V Λ and Vᵀ V = I.
+        let mut vl = e.vectors.clone();
+        for r in 0..n {
+            for c in 0..n {
+                vl[(r, c)] *= e.values[c];
+            }
+        }
+        let residual = m.matmul(&e.vectors).sub(&vl).frobenius();
+        prop_assert!(residual < 1e-10 * n as f64 * m.frobenius().max(1.0), "residual {residual}");
+        let vtv = e.vectors.transpose().matmul(&e.vectors);
+        let orth = vtv.sub(&Matrix::identity(n)).frobenius();
+        prop_assert!(orth < 1e-10 * n as f64, "orthogonality {orth}");
     }
 
     #[test]

@@ -13,12 +13,25 @@ fn quick(k: usize, seed: u64) -> KGraphConfig {
     }
 }
 
+// The `kgraph_solves_*` tests pin the exact final partition and selected
+// length, not only an ARI floor, so a numerical change anywhere in the fit
+// (embedding, node extraction, clustering, consensus) cannot slip through
+// while quality stays above the floor.
+
 #[test]
 fn kgraph_solves_cbf() {
     let ds = graphint_repro::datasets::cbf::cbf(12, 128, 1);
     let model = KGraph::new(quick(3, 1)).fit(&ds);
     let ari = adjusted_rand_index(ds.labels().unwrap(), &model.labels);
     assert!(ari > 0.5, "CBF ARI {ari}");
+    assert_eq!(
+        model.labels,
+        [
+            1, 1, 2, 1, 1, 2, 1, 0, 2, 1, 1, 2, 2, 1, 2, 1, 0, 2, 1, 1, 2, 1, 0, 2, 2, 0, 2, 1, 1,
+            2, 1, 0, 2, 1, 0, 2
+        ]
+    );
+    assert_eq!(model.best_length(), 64);
 }
 
 #[test]
@@ -27,6 +40,14 @@ fn kgraph_solves_trace_like() {
     let model = KGraph::new(quick(4, 2)).fit(&ds);
     let ari = adjusted_rand_index(ds.labels().unwrap(), &model.labels);
     assert!(ari > 0.5, "TraceLike ARI {ari}");
+    assert_eq!(
+        model.labels,
+        [
+            1, 2, 0, 3, 1, 2, 0, 3, 1, 1, 0, 3, 2, 2, 0, 3, 2, 1, 0, 3, 1, 1, 0, 3, 1, 2, 0, 3, 2,
+            1, 0, 3, 1, 2, 0, 3, 1, 1, 0, 3
+        ]
+    );
+    assert_eq!(model.best_length(), 36);
 }
 
 #[test]
@@ -35,6 +56,14 @@ fn kgraph_solves_device_like() {
     let model = KGraph::new(quick(3, 3)).fit(&ds);
     let ari = adjusted_rand_index(ds.labels().unwrap(), &model.labels);
     assert!(ari > 0.5, "DeviceLike ARI {ari}");
+    assert_eq!(
+        model.labels,
+        [
+            0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2,
+            1, 0, 2, 1, 0, 2, 1
+        ]
+    );
+    assert_eq!(model.best_length(), 48);
 }
 
 #[test]
