@@ -1,11 +1,12 @@
 //! Stage-attributed criterion benches for the end-to-end pipeline.
 //!
 //! Every label is `pipeline/<stage>/<variant>` with `<stage>` one of
-//! `build` / `fit` / `features` / `cluster` / `consensus` / `render` (see
-//! `bench::stages`). The committed `crates/bench/BENCH_pipeline.json` is
-//! the recorded baseline; CI reruns this bench and gates merges with
-//! `bench_compare` on per-stage geomean ratios. Scaling variants (series
-//! count, length, parallel vs serial jobs) all live under the `fit` stage.
+//! `embed` / `nodes` / `build` / `fit` / `features` / `cluster` /
+//! `consensus` / `render` (see `bench::stages`). The committed
+//! `crates/bench/BENCH_pipeline.json` is the recorded baseline; CI reruns
+//! this bench and gates merges with `bench_compare` on per-stage geomean
+//! ratios. Scaling variants (series count, length, parallel vs serial
+//! jobs) all live under the `fit` stage.
 
 use bench::stages::{ConsensusFixture, ScaleFixture, StageFixture};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,8 +27,18 @@ fn bench_stages(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
     let fx = StageFixture::standard();
+    let length = format!("l{}", fx.length);
 
-    group.bench_function(BenchmarkId::new("build", format!("l{}", fx.length)), |b| {
+    group.bench_function(BenchmarkId::new("embed", &length), |b| {
+        b.iter(|| fx.run_embed())
+    });
+    // Node extraction reuses one projection so it times the radial scan
+    // and KDE alone.
+    let proj = fx.run_embed();
+    group.bench_function(BenchmarkId::new("nodes", &length), |b| {
+        b.iter(|| fx.run_nodes(black_box(&proj)))
+    });
+    group.bench_function(BenchmarkId::new("build", &length), |b| {
         b.iter(|| fx.run_build())
     });
     group.bench_function(BenchmarkId::new("fit", "full"), |b| b.iter(|| fx.run_fit()));

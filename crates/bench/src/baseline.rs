@@ -97,14 +97,27 @@ pub struct StageComparison {
     pub geomean_ratio: f64,
 }
 
+/// A fresh run compared against a baseline.
+#[derive(Debug, Clone)]
+pub struct Comparison {
+    /// Per-stage ratios, in first-seen (baseline) order.
+    pub stages: Vec<StageComparison>,
+    /// Baseline labels the fresh run lacks: a renamed or deleted bench
+    /// that would otherwise drop out of the gate unnoticed.
+    pub missing: Vec<String>,
+}
+
 /// Matches entries by full name and aggregates median ratios per stage.
-/// Entries present in only one file are ignored (they have no ratio);
-/// stages appear in first-seen (baseline) order.
-pub fn compare(base: &[BenchEntry], fresh: &[BenchEntry]) -> Vec<StageComparison> {
+/// Baseline labels absent from the fresh run are listed in
+/// [`Comparison::missing`]; fresh-only labels (new benches) and entries
+/// with a non-positive median have no ratio and are ignored.
+pub fn compare(base: &[BenchEntry], fresh: &[BenchEntry]) -> Comparison {
     let mut stages: Vec<StageComparison> = Vec::new();
     let mut log_sums: Vec<f64> = Vec::new();
+    let mut missing = Vec::new();
     for b in base {
         let Some(f) = fresh.iter().find(|f| f.name == b.name) else {
+            missing.push(b.name.clone());
             continue;
         };
         if b.median_ns <= 0.0 || f.median_ns <= 0.0 {
@@ -134,7 +147,7 @@ pub fn compare(base: &[BenchEntry], fresh: &[BenchEntry]) -> Vec<StageComparison
     for (s, ls) in stages.iter_mut().zip(&log_sums) {
         s.geomean_ratio = (ls / s.matched as f64).exp();
     }
-    stages
+    Comparison { stages, missing }
 }
 
 #[cfg(test)]
@@ -204,6 +217,8 @@ mod tests {
             },
         ];
         let cmp = compare(&base, &fresh);
+        assert!(cmp.missing.is_empty());
+        let cmp = cmp.stages;
         assert_eq!(cmp.len(), 2);
         let build = cmp.iter().find(|c| c.stage == "build").unwrap();
         assert_eq!(build.matched, 2);
@@ -225,10 +240,43 @@ mod tests {
                 median_ns: 0.0,
             },
         ];
-        let fresh = vec![BenchEntry {
-            name: "g/zero/v".into(),
-            median_ns: 5.0,
-        }];
-        assert!(compare(&base, &fresh).is_empty());
+        let fresh = vec![
+            BenchEntry {
+                name: "g/zero/v".into(),
+                median_ns: 5.0,
+            },
+            BenchEntry {
+                name: "only/in/fresh".into(),
+                median_ns: 5.0,
+            },
+        ];
+        let cmp = compare(&base, &fresh);
+        assert!(cmp.stages.is_empty());
+        assert_eq!(cmp.missing, ["only/in/base"]);
+    }
+
+    #[test]
+    fn compare_reports_baseline_labels_missing_from_the_fresh_run() {
+        let base = parse_baseline(SAMPLE);
+        // `pipeline/build/l48` was renamed: its stage still has a ratio,
+        // but the old label must not drop out of the gate silently.
+        let fresh = vec![
+            BenchEntry {
+                name: "pipeline/build/l24".into(),
+                median_ns: 100.0,
+            },
+            BenchEntry {
+                name: "pipeline/build/l48_renamed".into(),
+                median_ns: 200.0,
+            },
+            BenchEntry {
+                name: "pipeline/fit/full".into(),
+                median_ns: 1000.0,
+            },
+        ];
+        let cmp = compare(&base, &fresh);
+        assert_eq!(cmp.missing, ["pipeline/build/l48"]);
+        assert_eq!(cmp.stages.len(), 2);
+        assert!(cmp.stages.iter().all(|s| s.matched == 1));
     }
 }

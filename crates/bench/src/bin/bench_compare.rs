@@ -10,7 +10,9 @@
 //! aggregated as a geometric mean per stage (the `<stage>` segment of
 //! `pipeline/<stage>/<variant>` labels). This is the CI bench smoke gate:
 //! deliberately coarse (1.5x by default) so shared-runner noise does not
-//! flap, while a real stage-wide regression still fails the build.
+//! flap, while a real stage-wide regression still fails the build. A
+//! baseline label missing from the fresh run also fails it: a renamed or
+//! deleted bench must be re-recorded, not silently dropped from the gate.
 
 use bench::baseline::{compare, parse_baseline};
 use std::process::ExitCode;
@@ -64,15 +66,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let comparisons = compare(&base, &fresh);
-    if comparisons.is_empty() {
+    let comparison = compare(&base, &fresh);
+    if comparison.stages.is_empty() && comparison.missing.is_empty() {
         eprintln!("no entries matched between baseline and fresh run");
         return ExitCode::from(2);
     }
 
     println!("{:<20} {:>8} {:>14}", "stage", "matched", "geomean ratio");
     let mut regressed = false;
-    for c in &comparisons {
+    for c in &comparison.stages {
         let flag = if c.geomean_ratio > max_ratio {
             regressed = true;
             "  <-- REGRESSION"
@@ -84,8 +86,16 @@ fn main() -> ExitCode {
             c.stage, c.matched, c.geomean_ratio
         );
     }
+    for label in &comparison.missing {
+        eprintln!("baseline label missing from the fresh run: {label}  <-- MISSING");
+    }
+    if !comparison.missing.is_empty() {
+        eprintln!("re-record the baseline if a bench was renamed or removed");
+    }
     if regressed {
         eprintln!("at least one stage exceeded the {max_ratio}x gate");
+    }
+    if regressed || !comparison.missing.is_empty() {
         ExitCode::FAILURE
     } else {
         println!("all stages within the {max_ratio}x gate");

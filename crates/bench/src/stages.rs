@@ -1,7 +1,8 @@
 //! Stage-attributed pipeline fixture for the regression-gated benches.
 //!
-//! The end-to-end k-Graph pipeline decomposes into six stages —
-//! **build** (subsequence embedding + radial scan + graph construction),
+//! The end-to-end k-Graph pipeline decomposes into eight stages —
+//! **embed** (z-normalised subsequences + PCA projection), **nodes** (radial
+//! scan + KDE mode search), **build** (embed + nodes + graph construction),
 //! **fit** (the full multi-length model), **features** (path → feature
 //! matrix), **cluster** (k-Means over the features), **consensus**
 //! (spectral clustering of the consensus matrix) and **render** (the
@@ -17,20 +18,29 @@ use graphint::frames::graph::GraphFrame;
 use graphint::plot::{DetailLevel, GraphPlot, RenderBudget};
 use kgraph::build::GraphLayer;
 use kgraph::consensus::consensus_labels;
-use kgraph::embed::project_subsequences;
+use kgraph::embed::{project_subsequences, Projection};
 use kgraph::features::{cluster_layer, feature_matrix};
 use kgraph::graphoid::ClusterStats;
-use kgraph::nodes::radial_scan;
+use kgraph::nodes::{radial_scan, NodeAssignment};
 use kgraph::{KGraph, KGraphConfig, KGraphModel, NodePattern, PatternGraph};
 use linalg::Matrix;
 use tscore::Dataset;
 use tsgraph::layout::LayoutEngine;
 use tsgraph::{GraphBuilder, NodeId};
 
-/// The six stage names, in pipeline order. These are the `<stage>` path
+/// The eight stage names, in pipeline order. These are the `<stage>` path
 /// segments of every `pipeline/<stage>/<variant>` bench label and the keys
 /// the comparison gate aggregates by.
-pub const STAGE_NAMES: [&str; 6] = ["build", "fit", "features", "cluster", "consensus", "render"];
+pub const STAGE_NAMES: [&str; 8] = [
+    "embed",
+    "nodes",
+    "build",
+    "fit",
+    "features",
+    "cluster",
+    "consensus",
+    "render",
+];
 
 /// Deterministic workload shared by every stage bench.
 pub struct StageFixture {
@@ -63,12 +73,25 @@ impl StageFixture {
         }
     }
 
+    /// Stage `embed`: z-normalised subsequences of one length projected
+    /// onto their first two principal components.
+    pub fn run_embed(&self) -> Projection {
+        let cfg = &self.config;
+        project_subsequences(&self.dataset, self.length, cfg.stride, cfg.pca_sample)
+    }
+
+    /// Stage `nodes`: the radial scan (per-sector KDE mode search) over a
+    /// projection.
+    pub fn run_nodes(&self, proj: &Projection) -> NodeAssignment {
+        let cfg = &self.config;
+        radial_scan(proj, cfg.psi, cfg.kde_grid, cfg.min_density_ratio)
+    }
+
     /// Stage `build`: embedding + radial scan + graph for one length.
     pub fn run_build(&self) -> GraphLayer {
-        let cfg = &self.config;
-        let proj = project_subsequences(&self.dataset, self.length, cfg.stride, cfg.pca_sample);
-        let assign = radial_scan(&proj, cfg.psi, cfg.kde_grid, cfg.min_density_ratio);
-        kgraph::build::build_graph_with_stride(&self.dataset, &proj, &assign, cfg.stride)
+        let proj = self.run_embed();
+        let assign = self.run_nodes(&proj);
+        kgraph::build::build_graph_with_stride(&self.dataset, &proj, &assign, self.config.stride)
     }
 
     /// Stage `fit`: the full multi-length model.
@@ -229,7 +252,13 @@ mod tests {
     #[test]
     fn stages_compose_end_to_end() {
         let fx = StageFixture::standard();
+        let proj = fx.run_embed();
+        assert_eq!(proj.length, fx.length);
+        let assign = fx.run_nodes(&proj);
+        assert_eq!(assign.point_node.len(), proj.points.len());
+        assert!(!assign.nodes.is_empty());
         let layer = fx.run_build();
+        assert_eq!(layer.graph.node_count(), assign.nodes.len());
         assert!(layer.graph.node_count() > 0);
         assert_eq!(layer.paths.len(), fx.dataset.len());
 

@@ -11,7 +11,8 @@
 //! * [`fft`] — iterative radix-2 FFT and FFT-backed cross-correlation
 //!   (speeds up k-Shape's NCC from O(m²) to O(m log m)),
 //! * [`kde`] — 1-D Gaussian kernel density estimation with local-maxima
-//!   extraction (node creation along each radial scan sector).
+//!   extraction (node creation along each radial scan sector); the grid is
+//!   evaluated by a Gaussian recurrence, about three `exp` calls per point.
 //!
 //! Sizes here are small (hundreds to a few thousands), so clarity wins over
 //! blocked/SIMD kernels; everything is O(n³) or better and deterministic.

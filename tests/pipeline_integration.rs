@@ -67,6 +67,42 @@ fn kgraph_solves_device_like() {
 }
 
 #[test]
+fn kgraph_fit_long_draw_is_pinned() {
+    // The benchmark's `fit_long` seed-1 draw 0 (150 series × 256 points)
+    // under the default configuration: per-layer node and edge counts
+    // pin node extraction (radial scan + KDE) on long series.
+    let ds = graphint_repro::datasets::cbf::cbf(50, 256, 8);
+    let model = KGraph::new(KGraphConfig::new(3)).fit(&ds);
+    let per_layer: Vec<(usize, usize, usize)> = model
+        .layers
+        .iter()
+        .map(|l| (l.length, l.graph.node_count(), l.graph.edge_count()))
+        .collect();
+    assert_eq!(
+        per_layer,
+        [
+            (26, 44, 823),
+            (51, 54, 708),
+            (77, 54, 524),
+            (102, 54, 338),
+            (128, 47, 195)
+        ]
+    );
+    assert_eq!(
+        model.labels,
+        [
+            2, 2, 0, 2, 1, 0, 2, 1, 0, 2, 1, 2, 2, 2, 0, 2, 1, 2, 2, 2, 0, 2, 1, 0, 2, 1, 2, 2, 1,
+            0, 2, 1, 0, 2, 1, 2, 2, 2, 2, 2, 2, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 2, 0, 2, 2, 2, 2,
+            1, 2, 2, 1, 0, 2, 2, 0, 2, 2, 0, 2, 2, 2, 2, 1, 0, 2, 1, 0, 2, 2, 0, 2, 2, 0, 2, 2, 0,
+            2, 1, 2, 2, 1, 0, 2, 2, 0, 2, 1, 2, 2, 1, 2, 2, 2, 0, 2, 1, 2, 2, 1, 0, 2, 1, 0, 2, 1,
+            0, 2, 2, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 2, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2,
+            1, 2, 2, 2, 0
+        ]
+    );
+    assert_eq!(model.best_length(), 77);
+}
+
+#[test]
 fn kgraph_beats_raw_kmeans_on_motif_positions() {
     // Classes differ by *where* a motif sits; raw k-Means is position
     // sensitive, k-Graph is not — the paper's core motivation.
